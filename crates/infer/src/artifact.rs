@@ -33,10 +33,9 @@
 //! daemon.
 
 use crate::plan::{CompiledConv, Dense, InferencePlan, PlanBlock, PlanHead, PoolSpec};
-use crate::quant::{
-    QuantBlock, QuantHead, QuantPool, QuantizedConv, QuantizedDense, QuantizedPlan,
-};
-use pit_models::{LayerDesc, NetworkDescriptor, DESCRIPTOR_SCHEMA, DESCRIPTOR_SCHEMA_V2};
+use crate::quant::{QuantPool, QuantizedConv, QuantizedDense, QuantizedPlan, I8};
+use crate::stream::{Backend, ConvKernel, DenseKernel, F32};
+use pit_models::{NetworkDescriptor, DESCRIPTOR_SCHEMA, DESCRIPTOR_SCHEMA_V2};
 use pit_tensor::json::{decode_f32s, decode_i8s, encode_f32s, encode_i8s, Json};
 use pit_tensor::Tensor;
 
@@ -167,66 +166,167 @@ fn check_schema_and_kind(doc: &Json, want_kind: &str) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// f32 layer payloads
+// Layer payloads
 // ---------------------------------------------------------------------------
 
-fn conv_to_json(conv: &CompiledConv) -> Json {
-    Json::Obj(vec![
-        ("c_in".into(), num(conv.in_channels())),
-        ("c_out".into(), num(conv.out_channels())),
-        ("kernel".into(), num(conv.kernel())),
-        ("dilation".into(), num(conv.dilation())),
-        ("weight".into(), Json::Str(encode_f32s(conv.weight.data()))),
-        ("bias".into(), Json::Str(encode_f32s(conv.bias.data()))),
-    ])
+/// A layer's `pit-arch/2` payload: the one piece of the artifact format
+/// that differs between f32 and int8 plans.
+trait LayerJson: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(node: &Json) -> Result<Self, String>;
 }
 
-fn conv_from_json(node: &Json) -> Result<CompiledConv, String> {
-    let c_in = get_dim(node, "c_in")?;
-    let c_out = get_dim(node, "c_out")?;
-    let kernel = get_dim(node, "kernel")?;
-    let dilation = get_dim(node, "dilation")?;
-    let weight = get_f32_payload(node, "weight", dims_product(&[c_out, c_in, kernel])?)?;
-    let bias = get_f32_payload(node, "bias", c_out)?;
-    let weight = Tensor::from_vec(weight, &[c_out, c_in, kernel]).map_err(|e| e.to_string())?;
-    let bias = Tensor::from_vec(bias, &[c_out]).map_err(|e| e.to_string())?;
-    Ok(CompiledConv::new(weight, bias, dilation))
+impl LayerJson for CompiledConv {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("c_in".into(), num(self.in_channels())),
+            ("c_out".into(), num(self.out_channels())),
+            ("kernel".into(), num(self.kernel())),
+            ("dilation".into(), num(self.dilation())),
+            ("weight".into(), Json::Str(encode_f32s(self.weight.data()))),
+            ("bias".into(), Json::Str(encode_f32s(self.bias.data()))),
+        ])
+    }
+
+    fn from_json(node: &Json) -> Result<Self, String> {
+        let c_in = get_dim(node, "c_in")?;
+        let c_out = get_dim(node, "c_out")?;
+        let kernel = get_dim(node, "kernel")?;
+        let dilation = get_dim(node, "dilation")?;
+        let weight = get_f32_payload(node, "weight", dims_product(&[c_out, c_in, kernel])?)?;
+        let bias = get_f32_payload(node, "bias", c_out)?;
+        let weight = Tensor::from_vec(weight, &[c_out, c_in, kernel]).map_err(|e| e.to_string())?;
+        let bias = Tensor::from_vec(bias, &[c_out]).map_err(|e| e.to_string())?;
+        Ok(CompiledConv::new(weight, bias, dilation))
+    }
 }
 
-fn dense_to_json(dense: &Dense) -> Json {
-    Json::Obj(vec![
-        ("in_features".into(), num(dense.in_features())),
-        ("out_features".into(), num(dense.out_features())),
-        ("weight".into(), Json::Str(encode_f32s(dense.weight.data()))),
-        ("bias".into(), Json::Str(encode_f32s(dense.bias.data()))),
-    ])
+impl LayerJson for Dense {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("in_features".into(), num(self.in_features())),
+            ("out_features".into(), num(self.out_features())),
+            ("weight".into(), Json::Str(encode_f32s(self.weight.data()))),
+            ("bias".into(), Json::Str(encode_f32s(self.bias.data()))),
+        ])
+    }
+
+    fn from_json(node: &Json) -> Result<Self, String> {
+        let in_f = get_dim(node, "in_features")?;
+        let out_f = get_dim(node, "out_features")?;
+        let weight = get_f32_payload(node, "weight", dims_product(&[in_f, out_f])?)?;
+        let bias = get_f32_payload(node, "bias", out_f)?;
+        let weight = Tensor::from_vec(weight, &[in_f, out_f]).map_err(|e| e.to_string())?;
+        let bias = Tensor::from_vec(bias, &[out_f]).map_err(|e| e.to_string())?;
+        Ok(Dense::new(weight, bias))
+    }
 }
 
-fn dense_from_json(node: &Json) -> Result<Dense, String> {
-    let in_f = get_dim(node, "in_features")?;
-    let out_f = get_dim(node, "out_features")?;
-    let weight = get_f32_payload(node, "weight", dims_product(&[in_f, out_f])?)?;
-    let bias = get_f32_payload(node, "bias", out_f)?;
-    let weight = Tensor::from_vec(weight, &[in_f, out_f]).map_err(|e| e.to_string())?;
-    let bias = Tensor::from_vec(bias, &[out_f]).map_err(|e| e.to_string())?;
-    Ok(Dense::new(weight, bias))
+impl LayerJson for PoolSpec {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("kernel".into(), num(self.kernel)),
+            ("stride".into(), num(self.stride)),
+        ])
+    }
+
+    fn from_json(node: &Json) -> Result<Self, String> {
+        Ok(PoolSpec {
+            kernel: get_dim(node, "kernel")?,
+            stride: get_dim(node, "stride")?,
+        })
+    }
 }
 
-fn pool_to_json(spec: &PoolSpec) -> Json {
-    Json::Obj(vec![
-        ("kernel".into(), num(spec.kernel)),
-        ("stride".into(), num(spec.stride)),
-    ])
+impl LayerJson for QuantizedConv {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("c_in".into(), num(self.in_channels())),
+            ("c_out".into(), num(self.out_channels())),
+            ("kernel".into(), num(self.kernel())),
+            ("dilation".into(), num(self.dilation())),
+            ("in_max".into(), Json::Num(f64::from(self.in_max))),
+            ("wq".into(), Json::Str(encode_i8s(&self.canonical_wq()))),
+            ("scales".into(), Json::Str(encode_f32s(&self.w_scales))),
+            ("bias".into(), Json::Str(encode_f32s(&self.bias))),
+            ("dw_l1".into(), Json::Str(encode_f32s(&self.dw_l1))),
+        ])
+    }
+
+    fn from_json(node: &Json) -> Result<Self, String> {
+        let c_in = get_dim(node, "c_in")?;
+        let c_out = get_dim(node, "c_out")?;
+        let kernel = get_dim(node, "kernel")?;
+        let dilation = get_dim(node, "dilation")?;
+        let in_max = get_in_max(node)?;
+        let wq = get_i8_payload(node, "wq", dims_product(&[c_out, c_in, kernel])?)?;
+        let scales = get_f32_payload(node, "scales", c_out)?;
+        let bias = get_f32_payload(node, "bias", c_out)?;
+        let dw_l1 = get_f32_payload(node, "dw_l1", c_out)?;
+        Ok(QuantizedConv::from_quantized_parts(
+            c_in, c_out, kernel, dilation, &wq, scales, in_max, bias, dw_l1,
+        ))
+    }
 }
 
-fn pool_from_json(node: &Json) -> Result<PoolSpec, String> {
-    Ok(PoolSpec {
-        kernel: get_dim(node, "kernel")?,
-        stride: get_dim(node, "stride")?,
-    })
+impl LayerJson for QuantizedDense {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("in_features".into(), num(self.in_features())),
+            ("out_features".into(), num(self.out_features())),
+            ("in_max".into(), Json::Num(f64::from(self.in_max))),
+            ("wq".into(), Json::Str(encode_i8s(&self.canonical_wq()))),
+            ("scales".into(), Json::Str(encode_f32s(&self.w_scales))),
+            ("bias".into(), Json::Str(encode_f32s(&self.bias))),
+            ("dw_l1".into(), Json::Str(encode_f32s(&self.dw_l1))),
+        ])
+    }
+
+    fn from_json(node: &Json) -> Result<Self, String> {
+        let in_f = get_dim(node, "in_features")?;
+        let out_f = get_dim(node, "out_features")?;
+        let in_max = get_in_max(node)?;
+        let wq = get_i8_payload(node, "wq", dims_product(&[in_f, out_f])?)?;
+        let scales = get_f32_payload(node, "scales", out_f)?;
+        let bias = get_f32_payload(node, "bias", out_f)?;
+        let dw_l1 = get_f32_payload(node, "dw_l1", out_f)?;
+        Ok(QuantizedDense::from_quantized_parts(
+            in_f, out_f, &wq, scales, in_max, bias, dw_l1,
+        ))
+    }
 }
 
-fn blocks_to_json(blocks: &[PlanBlock]) -> Json {
+impl LayerJson for QuantPool {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("kernel".into(), num(self.spec.kernel)),
+            ("stride".into(), num(self.spec.stride)),
+            ("in_max".into(), Json::Num(f64::from(self.in_max))),
+        ])
+    }
+
+    fn from_json(node: &Json) -> Result<Self, String> {
+        Ok(QuantPool::new(
+            PoolSpec::from_json(node)?,
+            get_in_max(node)?,
+        ))
+    }
+}
+
+/// The calibrated `in_max` of an int8 layer: finite and non-negative.
+fn get_in_max(node: &Json) -> Result<f32, String> {
+    let in_max = get_f32(node, "in_max")?;
+    if in_max < 0.0 {
+        return Err("field 'in_max' must be non-negative".into());
+    }
+    Ok(in_max)
+}
+
+// ---------------------------------------------------------------------------
+// Blocks and heads
+// ---------------------------------------------------------------------------
+
+fn blocks_to_json<C: LayerJson, P: LayerJson>(blocks: &[PlanBlock<C, P>]) -> Json {
     Json::Arr(
         blocks
             .iter()
@@ -237,23 +337,20 @@ fn blocks_to_json(blocks: &[PlanBlock]) -> Json {
                     downsample,
                 } => Json::Obj(vec![
                     ("kind".into(), Json::Str("residual".into())),
-                    ("conv1".into(), conv_to_json(conv1)),
-                    ("conv2".into(), conv_to_json(conv2)),
+                    ("conv1".into(), conv1.to_json()),
+                    ("conv2".into(), conv2.to_json()),
                     (
                         "downsample".into(),
-                        downsample.as_ref().map(conv_to_json).unwrap_or(Json::Null),
+                        downsample.as_ref().map_or(Json::Null, C::to_json),
                     ),
                 ]),
                 PlanBlock::Plain { convs, pool } => Json::Obj(vec![
                     ("kind".into(), Json::Str("plain".into())),
                     (
                         "convs".into(),
-                        Json::Arr(convs.iter().map(conv_to_json).collect()),
+                        Json::Arr(convs.iter().map(C::to_json).collect()),
                     ),
-                    (
-                        "pool".into(),
-                        pool.as_ref().map(pool_to_json).unwrap_or(Json::Null),
-                    ),
+                    ("pool".into(), pool.as_ref().map_or(Json::Null, P::to_json)),
                 ]),
             })
             .collect(),
@@ -263,8 +360,16 @@ fn blocks_to_json(blocks: &[PlanBlock]) -> Json {
 /// Parses blocks and walks the channel chain, returning the feature width
 /// feeding the head — the same invariants [`InferencePlan::new`] asserts,
 /// but as `Err` instead of a panic: the caller is typically a daemon
-/// loading an untrusted file.
-fn blocks_from_json(doc: &Json, input_channels: usize) -> Result<(Vec<PlanBlock>, usize), String> {
+/// loading an untrusted file, and the streaming runtime trusts them.
+#[allow(clippy::type_complexity)]
+fn blocks_from_json<B: Backend>(
+    doc: &Json,
+    input_channels: usize,
+) -> Result<(Vec<PlanBlock<B::Conv, B::Pool>>, usize), String>
+where
+    B::Conv: LayerJson,
+    B::Pool: LayerJson,
+{
     let nodes = doc
         .get("blocks")
         .and_then(Json::as_array)
@@ -273,38 +378,38 @@ fn blocks_from_json(doc: &Json, input_channels: usize) -> Result<(Vec<PlanBlock>
     let mut width = input_channels;
     for (i, node) in nodes.iter().enumerate() {
         let err = |msg: String| format!("block {i}: {msg}");
+        let conv_at =
+            |name: &str| B::Conv::from_json(get_obj(node, name).map_err(&err)?).map_err(&err);
         match get_str(node, "kind").map_err(&err)? {
             "residual" => {
-                let conv1 = conv_from_json(get_obj(node, "conv1").map_err(&err)?).map_err(&err)?;
-                let conv2 = conv_from_json(get_obj(node, "conv2").map_err(&err)?).map_err(&err)?;
+                let conv1 = conv_at("conv1")?;
+                let conv2 = conv_at("conv2")?;
                 let downsample = match get_opt(node, "downsample") {
-                    Some(ds) => Some(conv_from_json(ds).map_err(&err)?),
+                    Some(ds) => Some(B::Conv::from_json(ds).map_err(&err)?),
                     None => None,
                 };
-                if conv1.in_channels() != width {
+                let (s1, s2) = (conv1.shape(), conv2.shape());
+                if s1.c_in != width {
                     return Err(err(format!(
                         "conv1 expects {} input channels, chain carries {width}",
-                        conv1.in_channels()
+                        s1.c_in
                     )));
                 }
-                if conv2.in_channels() != conv1.out_channels() {
+                if s2.c_in != s1.c_out {
                     return Err(err("conv2 does not chain after conv1".into()));
                 }
-                match &downsample {
-                    Some(ds) => {
-                        if ds.in_channels() != width || ds.out_channels() != conv2.out_channels() {
-                            return Err(err("downsample geometry mismatch".into()));
-                        }
+                match downsample.as_ref().map(ConvKernel::shape) {
+                    Some(ds) if ds.c_in != width || ds.c_out != s2.c_out => {
+                        return Err(err("downsample geometry mismatch".into()));
                     }
-                    None => {
-                        if width != conv2.out_channels() {
-                            return Err(err(
-                                "residual skip needs a downsample when channels change".into(),
-                            ));
-                        }
+                    None if width != s2.c_out => {
+                        return Err(err(
+                            "residual skip needs a downsample when channels change".into()
+                        ));
                     }
+                    _ => {}
                 }
-                width = conv2.out_channels();
+                width = s2.c_out;
                 blocks.push(PlanBlock::Residual {
                     conv1,
                     conv2,
@@ -321,18 +426,19 @@ fn blocks_from_json(doc: &Json, input_channels: usize) -> Result<(Vec<PlanBlock>
                 }
                 let mut convs = Vec::with_capacity(conv_nodes.len());
                 for cn in conv_nodes {
-                    let conv = conv_from_json(cn).map_err(&err)?;
-                    if conv.in_channels() != width {
+                    let conv = B::Conv::from_json(cn).map_err(&err)?;
+                    let s = conv.shape();
+                    if s.c_in != width {
                         return Err(err(format!(
                             "convolution expects {} input channels, chain carries {width}",
-                            conv.in_channels()
+                            s.c_in
                         )));
                     }
-                    width = conv.out_channels();
+                    width = s.c_out;
                     convs.push(conv);
                 }
                 let pool = match get_opt(node, "pool") {
-                    Some(p) => Some(pool_from_json(p).map_err(&err)?),
+                    Some(p) => Some(B::Pool::from_json(p).map_err(&err)?),
                     None => None,
                 };
                 blocks.push(PlanBlock::Plain { convs, pool });
@@ -343,11 +449,11 @@ fn blocks_from_json(doc: &Json, input_channels: usize) -> Result<(Vec<PlanBlock>
     Ok((blocks, width))
 }
 
-fn head_to_json(head: &PlanHead) -> Json {
+fn head_to_json<C: LayerJson, D: LayerJson>(head: &PlanHead<C, D>) -> Json {
     match head {
         PlanHead::PerStep(conv) => Json::Obj(vec![
             ("kind".into(), Json::Str("per_step".into())),
-            ("conv".into(), conv_to_json(conv)),
+            ("conv".into(), conv.to_json()),
         ]),
         PlanHead::Fc {
             hidden,
@@ -358,26 +464,35 @@ fn head_to_json(head: &PlanHead) -> Json {
             ("kind".into(), Json::Str("fc".into())),
             ("channels".into(), num(*channels)),
             ("window".into(), num(*window)),
-            ("hidden".into(), dense_to_json(hidden)),
-            ("output".into(), dense_to_json(output)),
+            ("hidden".into(), hidden.to_json()),
+            ("output".into(), output.to_json()),
         ]),
         PlanHead::GlobalPoolFc(dense) => Json::Obj(vec![
             ("kind".into(), Json::Str("global_pool_fc".into())),
-            ("dense".into(), dense_to_json(dense)),
+            ("dense".into(), dense.to_json()),
         ]),
     }
 }
 
-fn head_from_json(doc: &Json, width: usize) -> Result<PlanHead, String> {
+fn head_from_json<B: Backend>(
+    doc: &Json,
+    width: usize,
+) -> Result<PlanHead<B::Conv, B::Dense>, String>
+where
+    B::Conv: LayerJson,
+    B::Dense: LayerJson,
+{
     let node = get_obj(doc, "head")?;
     let err = |msg: String| format!("head: {msg}");
+    let dense_at =
+        |name: &str| B::Dense::from_json(get_obj(node, name).map_err(&err)?).map_err(&err);
     match get_str(node, "kind").map_err(&err)? {
         "per_step" => {
-            let conv = conv_from_json(get_obj(node, "conv").map_err(&err)?).map_err(&err)?;
-            if conv.in_channels() != width {
+            let conv = B::Conv::from_json(get_obj(node, "conv").map_err(&err)?).map_err(&err)?;
+            let c_in = conv.shape().c_in;
+            if c_in != width {
                 return Err(err(format!(
-                    "per-step conv expects {} input channels, chain carries {width}",
-                    conv.in_channels()
+                    "per-step conv expects {c_in} input channels, chain carries {width}"
                 )));
             }
             Ok(PlanHead::PerStep(conv))
@@ -385,17 +500,18 @@ fn head_from_json(doc: &Json, width: usize) -> Result<PlanHead, String> {
         "fc" => {
             let channels = get_dim(node, "channels").map_err(&err)?;
             let window = get_dim(node, "window").map_err(&err)?;
-            let hidden = dense_from_json(get_obj(node, "hidden").map_err(&err)?).map_err(&err)?;
-            let output = dense_from_json(get_obj(node, "output").map_err(&err)?).map_err(&err)?;
+            let hidden = dense_at("hidden")?;
+            let output = dense_at("output")?;
             if channels != width {
                 return Err(err(format!(
                     "fc head channels {channels} do not match chain width {width}"
                 )));
             }
-            if hidden.in_features() != dims_product(&[channels, window])? {
+            let ((hid_in, hid_out), (out_in, _)) = (hidden.features(), output.features());
+            if hid_in != dims_product(&[channels, window])? {
                 return Err(err("hidden layer does not match channels x window".into()));
             }
-            if output.in_features() != hidden.out_features() {
+            if out_in != hid_out {
                 return Err(err("output layer does not stack on hidden".into()));
             }
             Ok(PlanHead::Fc {
@@ -406,285 +522,14 @@ fn head_from_json(doc: &Json, width: usize) -> Result<PlanHead, String> {
             })
         }
         "global_pool_fc" => {
-            let dense = dense_from_json(get_obj(node, "dense").map_err(&err)?).map_err(&err)?;
-            if dense.in_features() != width {
+            let dense = dense_at("dense")?;
+            let in_f = dense.features().0;
+            if in_f != width {
                 return Err(err(format!(
-                    "dense expects {} features, chain carries {width}",
-                    dense.in_features()
+                    "dense expects {in_f} features, chain carries {width}"
                 )));
             }
             Ok(PlanHead::GlobalPoolFc(dense))
-        }
-        other => Err(err(format!("unknown head kind '{other}'"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// int8 layer payloads
-// ---------------------------------------------------------------------------
-
-fn qconv_to_json(conv: &QuantizedConv) -> Json {
-    Json::Obj(vec![
-        ("c_in".into(), num(conv.in_channels())),
-        ("c_out".into(), num(conv.out_channels())),
-        ("kernel".into(), num(conv.kernel())),
-        ("dilation".into(), num(conv.dilation())),
-        ("in_max".into(), Json::Num(f64::from(conv.in_max))),
-        ("wq".into(), Json::Str(encode_i8s(&conv.canonical_wq()))),
-        ("scales".into(), Json::Str(encode_f32s(&conv.w_scales))),
-        ("bias".into(), Json::Str(encode_f32s(&conv.bias))),
-        ("dw_l1".into(), Json::Str(encode_f32s(&conv.dw_l1))),
-    ])
-}
-
-fn qconv_from_json(node: &Json) -> Result<QuantizedConv, String> {
-    let c_in = get_dim(node, "c_in")?;
-    let c_out = get_dim(node, "c_out")?;
-    let kernel = get_dim(node, "kernel")?;
-    let dilation = get_dim(node, "dilation")?;
-    let in_max = get_f32(node, "in_max")?;
-    if in_max < 0.0 {
-        return Err("field 'in_max' must be non-negative".into());
-    }
-    let wq = get_i8_payload(node, "wq", dims_product(&[c_out, c_in, kernel])?)?;
-    let scales = get_f32_payload(node, "scales", c_out)?;
-    let bias = get_f32_payload(node, "bias", c_out)?;
-    let dw_l1 = get_f32_payload(node, "dw_l1", c_out)?;
-    Ok(QuantizedConv::from_quantized_parts(
-        c_in, c_out, kernel, dilation, &wq, scales, in_max, bias, dw_l1,
-    ))
-}
-
-fn qdense_to_json(dense: &QuantizedDense) -> Json {
-    Json::Obj(vec![
-        ("in_features".into(), num(dense.in_features())),
-        ("out_features".into(), num(dense.out_features())),
-        ("in_max".into(), Json::Num(f64::from(dense.in_max))),
-        ("wq".into(), Json::Str(encode_i8s(&dense.canonical_wq()))),
-        ("scales".into(), Json::Str(encode_f32s(&dense.w_scales))),
-        ("bias".into(), Json::Str(encode_f32s(&dense.bias))),
-        ("dw_l1".into(), Json::Str(encode_f32s(&dense.dw_l1))),
-    ])
-}
-
-fn qdense_from_json(node: &Json) -> Result<QuantizedDense, String> {
-    let in_f = get_dim(node, "in_features")?;
-    let out_f = get_dim(node, "out_features")?;
-    let in_max = get_f32(node, "in_max")?;
-    if in_max < 0.0 {
-        return Err("field 'in_max' must be non-negative".into());
-    }
-    let wq = get_i8_payload(node, "wq", dims_product(&[in_f, out_f])?)?;
-    let scales = get_f32_payload(node, "scales", out_f)?;
-    let bias = get_f32_payload(node, "bias", out_f)?;
-    let dw_l1 = get_f32_payload(node, "dw_l1", out_f)?;
-    Ok(QuantizedDense::from_quantized_parts(
-        in_f, out_f, &wq, scales, in_max, bias, dw_l1,
-    ))
-}
-
-fn qpool_to_json(pool: &QuantPool) -> Json {
-    Json::Obj(vec![
-        ("kernel".into(), num(pool.spec.kernel)),
-        ("stride".into(), num(pool.spec.stride)),
-        ("in_max".into(), Json::Num(f64::from(pool.in_max))),
-    ])
-}
-
-fn qpool_from_json(node: &Json) -> Result<QuantPool, String> {
-    let spec = pool_from_json(node)?;
-    let in_max = get_f32(node, "in_max")?;
-    if in_max < 0.0 {
-        return Err("field 'in_max' must be non-negative".into());
-    }
-    Ok(QuantPool::new(spec, in_max))
-}
-
-fn qblocks_to_json(blocks: &[QuantBlock]) -> Json {
-    Json::Arr(
-        blocks
-            .iter()
-            .map(|block| match block {
-                QuantBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => Json::Obj(vec![
-                    ("kind".into(), Json::Str("residual".into())),
-                    ("conv1".into(), qconv_to_json(conv1)),
-                    ("conv2".into(), qconv_to_json(conv2)),
-                    (
-                        "downsample".into(),
-                        downsample.as_ref().map(qconv_to_json).unwrap_or(Json::Null),
-                    ),
-                ]),
-                QuantBlock::Plain { convs, pool } => Json::Obj(vec![
-                    ("kind".into(), Json::Str("plain".into())),
-                    (
-                        "convs".into(),
-                        Json::Arr(convs.iter().map(qconv_to_json).collect()),
-                    ),
-                    (
-                        "pool".into(),
-                        pool.as_ref().map(qpool_to_json).unwrap_or(Json::Null),
-                    ),
-                ]),
-            })
-            .collect(),
-    )
-}
-
-/// The int8 twin of [`blocks_from_json`]: parse, chain-check, return the
-/// final feature width. The streaming executor trusts these invariants
-/// (`unreachable!` on mismatch), so an artifact that breaks them must be
-/// rejected here.
-fn qblocks_from_json(
-    doc: &Json,
-    input_channels: usize,
-) -> Result<(Vec<QuantBlock>, usize), String> {
-    let nodes = doc
-        .get("blocks")
-        .and_then(Json::as_array)
-        .ok_or("missing 'blocks' array")?;
-    let mut blocks = Vec::with_capacity(nodes.len());
-    let mut width = input_channels;
-    for (i, node) in nodes.iter().enumerate() {
-        let err = |msg: String| format!("block {i}: {msg}");
-        match get_str(node, "kind").map_err(&err)? {
-            "residual" => {
-                let conv1 = qconv_from_json(get_obj(node, "conv1").map_err(&err)?).map_err(&err)?;
-                let conv2 = qconv_from_json(get_obj(node, "conv2").map_err(&err)?).map_err(&err)?;
-                let downsample = match get_opt(node, "downsample") {
-                    Some(ds) => Some(qconv_from_json(ds).map_err(&err)?),
-                    None => None,
-                };
-                if conv1.in_channels() != width || conv2.in_channels() != conv1.out_channels() {
-                    return Err(err("residual convolutions do not chain".into()));
-                }
-                match &downsample {
-                    Some(ds) => {
-                        if ds.in_channels() != width || ds.out_channels() != conv2.out_channels() {
-                            return Err(err("downsample geometry mismatch".into()));
-                        }
-                    }
-                    None => {
-                        if width != conv2.out_channels() {
-                            return Err(err(
-                                "residual skip needs a downsample when channels change".into(),
-                            ));
-                        }
-                    }
-                }
-                width = conv2.out_channels();
-                blocks.push(QuantBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                });
-            }
-            "plain" => {
-                let conv_nodes = node
-                    .get("convs")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| err("missing 'convs' array".into()))?;
-                if conv_nodes.is_empty() {
-                    return Err(err("plain block holds no convolutions".into()));
-                }
-                let mut convs = Vec::with_capacity(conv_nodes.len());
-                for cn in conv_nodes {
-                    let conv = qconv_from_json(cn).map_err(&err)?;
-                    if conv.in_channels() != width {
-                        return Err(err(format!(
-                            "convolution expects {} input channels, chain carries {width}",
-                            conv.in_channels()
-                        )));
-                    }
-                    width = conv.out_channels();
-                    convs.push(conv);
-                }
-                let pool = match get_opt(node, "pool") {
-                    Some(p) => Some(qpool_from_json(p).map_err(&err)?),
-                    None => None,
-                };
-                blocks.push(QuantBlock::Plain { convs, pool });
-            }
-            other => return Err(err(format!("unknown block kind '{other}'"))),
-        }
-    }
-    Ok((blocks, width))
-}
-
-fn qhead_to_json(head: &QuantHead) -> Json {
-    match head {
-        QuantHead::PerStep(conv) => Json::Obj(vec![
-            ("kind".into(), Json::Str("per_step".into())),
-            ("conv".into(), qconv_to_json(conv)),
-        ]),
-        QuantHead::Fc {
-            hidden,
-            output,
-            channels,
-            window,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str("fc".into())),
-            ("channels".into(), num(*channels)),
-            ("window".into(), num(*window)),
-            ("hidden".into(), qdense_to_json(hidden)),
-            ("output".into(), qdense_to_json(output)),
-        ]),
-        QuantHead::GlobalPoolFc(dense) => Json::Obj(vec![
-            ("kind".into(), Json::Str("global_pool_fc".into())),
-            ("dense".into(), qdense_to_json(dense)),
-        ]),
-    }
-}
-
-fn qhead_from_json(doc: &Json, width: usize) -> Result<QuantHead, String> {
-    let node = get_obj(doc, "head")?;
-    let err = |msg: String| format!("head: {msg}");
-    match get_str(node, "kind").map_err(&err)? {
-        "per_step" => {
-            let conv = qconv_from_json(get_obj(node, "conv").map_err(&err)?).map_err(&err)?;
-            if conv.in_channels() != width {
-                return Err(err(format!(
-                    "per-step conv expects {} input channels, chain carries {width}",
-                    conv.in_channels()
-                )));
-            }
-            Ok(QuantHead::PerStep(conv))
-        }
-        "fc" => {
-            let channels = get_dim(node, "channels").map_err(&err)?;
-            let window = get_dim(node, "window").map_err(&err)?;
-            let hidden = qdense_from_json(get_obj(node, "hidden").map_err(&err)?).map_err(&err)?;
-            let output = qdense_from_json(get_obj(node, "output").map_err(&err)?).map_err(&err)?;
-            if channels != width {
-                return Err(err(format!(
-                    "fc head channels {channels} do not match chain width {width}"
-                )));
-            }
-            if hidden.in_features() != dims_product(&[channels, window])? {
-                return Err(err("hidden layer does not match channels x window".into()));
-            }
-            if output.in_features() != hidden.out_features() {
-                return Err(err("output layer does not stack on hidden".into()));
-            }
-            Ok(QuantHead::Fc {
-                hidden,
-                output,
-                channels,
-                window,
-            })
-        }
-        "global_pool_fc" => {
-            let dense = qdense_from_json(get_obj(node, "dense").map_err(&err)?).map_err(&err)?;
-            if dense.in_features() != width {
-                return Err(err(format!(
-                    "dense expects {} features, chain carries {width}",
-                    dense.in_features()
-                )));
-            }
-            Ok(QuantHead::GlobalPoolFc(dense))
         }
         other => Err(err(format!("unknown head kind '{other}'"))),
     }
@@ -757,8 +602,8 @@ impl InferencePlan {
         check_schema_and_kind(doc, "f32")?;
         let name = get_str(doc, "name")?.to_string();
         let input_channels = get_dim(doc, "input_channels")?;
-        let (blocks, width) = blocks_from_json(doc, input_channels)?;
-        let head = head_from_json(doc, width)?;
+        let (blocks, width) = blocks_from_json::<F32>(doc, input_channels)?;
+        let head = head_from_json::<F32>(doc, width)?;
         // The chain checks above re-establish `InferencePlan::new`'s
         // invariants, so this cannot panic.
         Ok(Self::new(name, input_channels, blocks, head))
@@ -775,104 +620,6 @@ impl InferencePlan {
 }
 
 impl QuantizedPlan {
-    /// Receptive field of the conv/pool stack in input samples — the int8
-    /// twin of [`InferencePlan::receptive_field`].
-    pub fn receptive_field(&self) -> usize {
-        let mut rf = 1usize;
-        let mut jump = 1usize;
-        let mut grow = |k: usize, d: usize, j: usize| {
-            rf += (k - 1) * d * j;
-        };
-        for block in &self.blocks {
-            match block {
-                QuantBlock::Residual { conv1, conv2, .. } => {
-                    grow(conv1.kernel(), conv1.dilation(), jump);
-                    grow(conv2.kernel(), conv2.dilation(), jump);
-                }
-                QuantBlock::Plain { convs, pool } => {
-                    for conv in convs {
-                        grow(conv.kernel(), conv.dilation(), jump);
-                    }
-                    if let Some(qp) = pool {
-                        grow(qp.spec.kernel, 1, jump);
-                        jump *= qp.spec.stride;
-                    }
-                }
-            }
-        }
-        if let QuantHead::PerStep(conv) = &self.head {
-            grow(conv.kernel(), conv.dilation(), jump);
-        }
-        rf
-    }
-
-    /// Exports the plan geometry as a [`NetworkDescriptor`] for an input of
-    /// length `t_in` — the int8 twin of [`InferencePlan::descriptor`]
-    /// (weight/MAC accounting counts the quantized layers' geometry; the
-    /// byte width is not the descriptor's concern).
-    pub fn descriptor(&self, t_in: usize) -> NetworkDescriptor {
-        let mut d = NetworkDescriptor::new(self.name.clone());
-        let mut t = t_in;
-        let conv_desc = |conv: &QuantizedConv, t: usize| LayerDesc::Conv1d {
-            c_in: conv.in_channels(),
-            c_out: conv.out_channels(),
-            kernel: conv.kernel(),
-            dilation: conv.dilation(),
-            t_in: t,
-            t_out: t,
-        };
-        for block in &self.blocks {
-            match block {
-                QuantBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    d.push(conv_desc(conv1, t));
-                    d.push(conv_desc(conv2, t));
-                    if let Some(ds) = downsample {
-                        d.push(conv_desc(ds, t));
-                    }
-                }
-                QuantBlock::Plain { convs, pool } => {
-                    for conv in convs {
-                        d.push(conv_desc(conv, t));
-                    }
-                    if let Some(qp) = pool {
-                        let t_out = (t.saturating_sub(qp.spec.kernel)) / qp.spec.stride + 1;
-                        let channels = convs.last().map(|c| c.out_channels()).unwrap_or(0);
-                        d.push(LayerDesc::AvgPool {
-                            channels,
-                            kernel: qp.spec.kernel,
-                            stride: qp.spec.stride,
-                            t_in: t,
-                            t_out,
-                        });
-                        t = t_out;
-                    }
-                }
-            }
-        }
-        match &self.head {
-            QuantHead::PerStep(conv) => d.push(conv_desc(conv, t)),
-            QuantHead::Fc { hidden, output, .. } => {
-                d.push(LayerDesc::Linear {
-                    in_features: hidden.in_features(),
-                    out_features: hidden.out_features(),
-                });
-                d.push(LayerDesc::Linear {
-                    in_features: output.in_features(),
-                    out_features: output.out_features(),
-                });
-            }
-            QuantHead::GlobalPoolFc(dense) => d.push(LayerDesc::Linear {
-                in_features: dense.in_features(),
-                out_features: dense.out_features(),
-            }),
-        }
-        d
-    }
-
     /// Serialises the quantized plan — int8 codes, per-channel scales,
     /// calibration ranges, f32 biases and the weight-rounding masses the
     /// analytic error bound needs — as a `pit-arch/2` artifact of kind `i8`.
@@ -882,8 +629,8 @@ impl QuantizedPlan {
             "i8",
             self.input_channels(),
             self.descriptor(self.receptive_field()),
-            qblocks_to_json(&self.blocks),
-            qhead_to_json(&self.head),
+            blocks_to_json(&self.blocks),
+            head_to_json(&self.head),
         )
     }
 
@@ -906,9 +653,14 @@ impl QuantizedPlan {
         check_schema_and_kind(doc, "i8")?;
         let name = get_str(doc, "name")?.to_string();
         let input_channels = get_dim(doc, "input_channels")?;
-        let (blocks, width) = qblocks_from_json(doc, input_channels)?;
-        let head = qhead_from_json(doc, width)?;
-        Ok(Self::assemble(name, input_channels, blocks, head))
+        let (blocks, width) = blocks_from_json::<I8>(doc, input_channels)?;
+        let head = head_from_json::<I8>(doc, width)?;
+        Ok(Self {
+            name,
+            input_channels,
+            blocks,
+            head,
+        })
     }
 
     /// [`QuantizedPlan::from_artifact`] from JSON text.

@@ -17,20 +17,28 @@
 //!   gradient bookkeeping. Plans round-trip their geometry through
 //!   [`pit_models::NetworkDescriptor`] JSON, so a searched architecture can
 //!   be persisted and re-compiled without re-running the search.
-//! * **Stream** ([`stream`]): a [`Session`] keeps one ring buffer per
-//!   convolution (its receptive field), pool windows and the head state, so
-//!   one new timestep costs `O(C_out · C_in · alive_taps)` — not a full
-//!   window re-forward. Zero state ≡ causal zero padding: streaming a window
-//!   sample-by-sample reproduces the offline forward to `1e-5`.
+//! * **Stream** ([`stream`]): one streaming runtime, generic over a numeric
+//!   [`Backend`]. A [`Session`] keeps one ring buffer per convolution (its
+//!   receptive field), pool windows and the head state, so one new timestep
+//!   costs `O(C_out · C_in · alive_taps)` — not a full window re-forward.
+//!   Zero state ≡ causal zero padding: streaming a window sample-by-sample
+//!   reproduces the offline forward to `1e-5`. The runtime writes the
+//!   block/head walk, emission schedule, state and scratch once; a backend
+//!   supplies the ring element, the seam conversion, the gather and the
+//!   per-step/per-wave kernels. [`F32`] is the reference backend.
 //! * **Serve** ([`session`]): a [`SessionPool`] batches the pending timesteps
-//!   of N concurrent sessions into single GEMM calls per layer — N streams,
-//!   one kernel invocation.
+//!   of N concurrent sessions into single matrix products per layer — N
+//!   streams, one kernel invocation. [`StreamPool`] is the object-safe face
+//!   of any pool, so a serving front end holds `Box<dyn StreamPool>` whatever
+//!   the precision.
 //! * **Quantize** ([`quant`]): [`Calibration`] records max-abs activation
 //!   ranges per layer seam, [`QuantizedPlan`] lowers the plan to int8
-//!   (per-output-channel weight scales, exact `i8×i8→i32` arithmetic) and
-//!   [`QuantizedSession`] / [`QuantizedSessionPool`] stream it with `i8`
-//!   ring state — ~4x smaller per stream, over 2x faster per step, and
-//!   provably within [`QuantizedPlan::error_bound`] of the f32 engine.
+//!   (per-output-channel weight scales, exact `i8×i8→i32` arithmetic), and
+//!   the [`I8`] backend streams it through the same runtime
+//!   ([`QuantizedSession`] = `Session<I8>`, [`QuantizedSessionPool`] =
+//!   `SessionPool<I8>`) with `i8` ring state — ~3.5x smaller per stream,
+//!   over 2x faster per step, and provably within
+//!   [`QuantizedPlan::error_bound`] of the f32 engine.
 //! * **Persist** ([`artifact`]): plans serialise *with their weights* as
 //!   `pit-arch/2` JSON artifacts ([`InferencePlan::to_artifact`],
 //!   [`QuantizedPlan::to_artifact`], base64 tensor payloads) and load back
@@ -70,13 +78,13 @@ pub mod zoo;
 pub use artifact::{PlanArtifact, ARTIFACT_SCHEMA};
 pub use plan::{
     compile_concrete, compile_generic, compile_restcn, compile_temponet, CompiledConv, Dense,
-    InferencePlan, PlanBlock, PlanHead, PoolSpec,
+    InferencePlan, Plan, PlanBlock, PlanHead, PoolSpec,
 };
 pub use quant::{
     Calibration, QuantBlock, QuantHead, QuantizedConv, QuantizedDense, QuantizedPlan,
-    QuantizedSession, QuantizedSessionPool,
+    QuantizedSession, QuantizedSessionPool, I8,
 };
 pub use session::SessionPool;
-pub use stream::Session;
+pub use stream::{Backend, Session, F32};
 pub use stream_pool::StreamPool;
 pub use zoo::{ZooEntry, ZooManifest, ZOO_SCHEMA};

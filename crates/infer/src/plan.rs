@@ -13,6 +13,7 @@
 //! [`compile_concrete`]) or — geometry only — from a persisted
 //! [`NetworkDescriptor`] via [`InferencePlan::from_descriptor`].
 
+use crate::stream::{Backend, ConvKernel, DenseKernel, PoolKernel, F32};
 use pit_models::{
     ConcreteBlock, ConcreteHead, ConcreteTcn, GenericTcn, LayerDesc, NetworkDescriptor, ResTcn,
     TempoNet,
@@ -244,47 +245,49 @@ pub struct PoolSpec {
     pub stride: usize,
 }
 
-/// One block of a compiled plan. ReLU activations are implicit: every
-/// convolution inside a block is followed by one (matching the seed
-/// networks); heads are linear.
+/// One block of a compiled plan, generic over its layer types (the f32
+/// layers by default; [`crate::QuantBlock`] is the int8 form). ReLU
+/// activations are implicit: every convolution inside a block is followed by
+/// one (matching the seed networks); heads are linear.
 // The variant size gap (Residual inlines three convs, Plain a Vec) is fine:
 // blocks are built once per compile and held in a short Vec, never moved on
 // a hot path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum PlanBlock {
+pub enum PlanBlock<C = CompiledConv, P = PoolSpec> {
     /// Two convolutions with a skip connection (ResTCN-style); the skip adds
     /// before the block's final ReLU.
     Residual {
         /// First convolution.
-        conv1: CompiledConv,
+        conv1: C,
         /// Second convolution.
-        conv2: CompiledConv,
+        conv2: C,
         /// Optional 1×1 projection when channel counts differ on the skip.
-        downsample: Option<CompiledConv>,
+        downsample: Option<C>,
     },
     /// A feed-forward chain of convolutions (TEMPONet-style), optionally
     /// closed by average pooling over time.
     Plain {
         /// Convolutions, each followed by an implicit ReLU.
-        convs: Vec<CompiledConv>,
+        convs: Vec<C>,
         /// Optional pooling stage closing the block.
-        pool: Option<PoolSpec>,
+        pool: Option<P>,
     },
 }
 
-/// The output head of a compiled plan.
+/// The output head of a compiled plan, generic over its layer types (the
+/// f32 layers by default; [`crate::QuantHead`] is the int8 form).
 #[derive(Debug, Clone)]
-pub enum PlanHead {
+pub enum PlanHead<C = CompiledConv, D = Dense> {
     /// Per-time-step convolution producing one logit column per step.
-    PerStep(CompiledConv),
+    PerStep(C),
     /// Flatten the last `window` steps of the final `channels`-wide feature
     /// map and run a two-layer MLP (TEMPONet-style regression head).
     Fc {
         /// Hidden dense layer (ReLU after it).
-        hidden: Dense,
+        hidden: D,
         /// Output dense layer (linear).
-        output: Dense,
+        output: D,
         /// Channels of the feature map feeding the head.
         channels: usize,
         /// Time steps flattened into the head input.
@@ -292,18 +295,200 @@ pub enum PlanHead {
     },
     /// Global average pooling over time followed by one dense layer
     /// (GenericTcn-style head). Streaming keeps a running mean.
-    GlobalPoolFc(Dense),
+    GlobalPoolFc(D),
 }
 
-/// A compiled, tape-free inference plan: the deployable form of a searched
-/// TCN, executable offline over whole windows ([`InferencePlan::forward`]) or
+/// A compiled, tape-free plan over the layers of backend `B`: the deployable
+/// form of a searched TCN. [`InferencePlan`] (f32) also executes offline over
+/// whole windows ([`InferencePlan::forward`]); both precisions stream
 /// per-timestep through [`crate::Session`] / [`crate::SessionPool`].
 #[derive(Debug, Clone)]
-pub struct InferencePlan {
+pub struct Plan<B: Backend> {
     pub(crate) name: String,
     pub(crate) input_channels: usize,
-    pub(crate) blocks: Vec<PlanBlock>,
-    pub(crate) head: PlanHead,
+    pub(crate) blocks: Vec<PlanBlock<B::Conv, B::Pool>>,
+    pub(crate) head: PlanHead<B::Conv, B::Dense>,
+}
+
+/// The f32 plan a PIT search compiles to.
+pub type InferencePlan = Plan<F32>;
+
+impl<B: Backend> Plan<B> {
+    /// The plan name (carried over from the compiled network).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Returns the plan under a new name. Model-zoo builders use this to
+    /// give each searched point a unique registry name before writing its
+    /// artifact (quantizing afterwards derives `<name>-int8`).
+    #[must_use]
+    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
+        self
+    }
+
+    /// Channels of the input stream.
+    pub fn input_channels(&self) -> usize {
+        self.input_channels
+    }
+
+    /// The blocks in execution order.
+    pub fn blocks(&self) -> &[PlanBlock<B::Conv, B::Pool>] {
+        &self.blocks
+    }
+
+    /// The head.
+    pub fn head(&self) -> &PlanHead<B::Conv, B::Dense> {
+        &self.head
+    }
+
+    /// Width of one emitted output vector.
+    pub fn output_dim(&self) -> usize {
+        match &self.head {
+            PlanHead::PerStep(conv) => conv.shape().c_out,
+            PlanHead::Fc { output, .. } => output.features().1,
+            PlanHead::GlobalPoolFc(dense) => dense.features().1,
+        }
+    }
+
+    /// Every convolution of the plan, blocks first then a per-step head —
+    /// the order of a stream's conv rings.
+    pub(crate) fn convs(&self) -> Vec<&B::Conv> {
+        let mut out = Vec::new();
+        for block in &self.blocks {
+            match block {
+                PlanBlock::Residual {
+                    conv1,
+                    conv2,
+                    downsample,
+                } => {
+                    out.push(conv1);
+                    out.push(conv2);
+                    out.extend(downsample.as_ref());
+                }
+                PlanBlock::Plain { convs, .. } => out.extend(convs.iter()),
+            }
+        }
+        if let PlanHead::PerStep(conv) = &self.head {
+            out.push(conv);
+        }
+        out
+    }
+
+    /// Receptive field of the conv/pool stack in input samples: how much
+    /// history influences one head input column (standard jump/receptive-field
+    /// composition; the Fc head window extends it further at the pooled rate).
+    pub fn receptive_field(&self) -> usize {
+        let mut rf = 1usize;
+        let mut jump = 1usize;
+        let mut grow = |k: usize, d: usize, j: usize| {
+            rf += (k - 1) * d * j;
+        };
+        for block in &self.blocks {
+            match block {
+                PlanBlock::Residual { conv1, conv2, .. } => {
+                    for s in [conv1.shape(), conv2.shape()] {
+                        grow(s.k, s.dilation, jump);
+                    }
+                }
+                PlanBlock::Plain { convs, pool } => {
+                    for conv in convs {
+                        let s = conv.shape();
+                        grow(s.k, s.dilation, jump);
+                    }
+                    if let Some(p) = pool {
+                        let spec = p.spec();
+                        grow(spec.kernel, 1, jump);
+                        jump *= spec.stride;
+                    }
+                }
+            }
+        }
+        if let PlanHead::PerStep(conv) = &self.head {
+            let s = conv.shape();
+            grow(s.k, s.dilation, jump);
+        }
+        rf
+    }
+
+    /// Exports the plan geometry as a [`NetworkDescriptor`] for an input of
+    /// length `t_in` — the persistence seam: render it with
+    /// [`NetworkDescriptor::to_json_string`] and, for sequential plans,
+    /// rebuild the structure later with [`InferencePlan::from_descriptor`].
+    /// Weight/MAC accounting counts the layers' geometry; the byte width of
+    /// a quantized plan is not the descriptor's concern.
+    ///
+    /// Descriptors are a flat layer list (the `pit-arch/1` schema carries no
+    /// skip edges), so a plan whose residual block uses a `downsample`
+    /// projection exports a descriptor that is still correct for weight/MAC
+    /// accounting and `pit-hw` deployment modelling, but that
+    /// `from_descriptor` will *reject* rather than rebuild with broken
+    /// channel chaining.
+    pub fn descriptor(&self, t_in: usize) -> NetworkDescriptor {
+        let mut d = NetworkDescriptor::new(self.name.clone());
+        let mut t = t_in;
+        let conv_desc = |conv: &B::Conv, t: usize| {
+            let s = conv.shape();
+            LayerDesc::Conv1d {
+                c_in: s.c_in,
+                c_out: s.c_out,
+                kernel: s.k,
+                dilation: s.dilation,
+                t_in: t,
+                t_out: t,
+            }
+        };
+        let linear = |dense: &B::Dense| {
+            let (in_features, out_features) = dense.features();
+            LayerDesc::Linear {
+                in_features,
+                out_features,
+            }
+        };
+        for block in &self.blocks {
+            match block {
+                PlanBlock::Residual {
+                    conv1,
+                    conv2,
+                    downsample,
+                } => {
+                    d.push(conv_desc(conv1, t));
+                    d.push(conv_desc(conv2, t));
+                    if let Some(ds) = downsample {
+                        d.push(conv_desc(ds, t));
+                    }
+                }
+                PlanBlock::Plain { convs, pool } => {
+                    for conv in convs {
+                        d.push(conv_desc(conv, t));
+                    }
+                    if let Some(p) = pool {
+                        let spec = p.spec();
+                        let t_out = (t.saturating_sub(spec.kernel)) / spec.stride + 1;
+                        let channels = convs.last().map(|c| c.shape().c_out).unwrap_or(0);
+                        d.push(LayerDesc::AvgPool {
+                            channels,
+                            kernel: spec.kernel,
+                            stride: spec.stride,
+                            t_in: t,
+                            t_out,
+                        });
+                        t = t_out;
+                    }
+                }
+            }
+        }
+        match &self.head {
+            PlanHead::PerStep(conv) => d.push(conv_desc(conv, t)),
+            PlanHead::Fc { hidden, output, .. } => {
+                d.push(linear(hidden));
+                d.push(linear(output));
+            }
+            PlanHead::GlobalPoolFc(dense) => d.push(linear(dense)),
+        }
+        d
+    }
 }
 
 impl InferencePlan {
@@ -396,69 +581,6 @@ impl InferencePlan {
         }
     }
 
-    /// The plan name (carried over from the compiled network).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Returns the plan under a new name. Model-zoo builders use this to
-    /// give each searched point a unique registry name before writing its
-    /// artifact (quantizing afterwards derives `<name>-int8`).
-    #[must_use]
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Channels of the input stream.
-    pub fn input_channels(&self) -> usize {
-        self.input_channels
-    }
-
-    /// The compiled blocks in execution order.
-    pub fn blocks(&self) -> &[PlanBlock] {
-        &self.blocks
-    }
-
-    /// The compiled head.
-    pub fn head(&self) -> &PlanHead {
-        &self.head
-    }
-
-    /// Width of one emitted output vector.
-    pub fn output_dim(&self) -> usize {
-        match &self.head {
-            PlanHead::PerStep(conv) => conv.c_out,
-            PlanHead::Fc { output, .. } => output.out_features,
-            PlanHead::GlobalPoolFc(dense) => dense.out_features,
-        }
-    }
-
-    /// Every convolution of the plan, blocks first then a per-step head.
-    fn convs(&self) -> Vec<&CompiledConv> {
-        let mut out = Vec::new();
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    out.push(conv1);
-                    out.push(conv2);
-                    if let Some(ds) = downsample {
-                        out.push(ds);
-                    }
-                }
-                PlanBlock::Plain { convs, .. } => out.extend(convs.iter()),
-            }
-        }
-        if let PlanHead::PerStep(conv) = &self.head {
-            out.push(conv);
-        }
-        out
-    }
-
     /// Total stored weights of the plan (what deployment ships).
     pub fn num_weights(&self) -> usize {
         let conv_w: usize = self.convs().iter().map(|c| c.num_weights()).sum();
@@ -468,77 +590,6 @@ impl InferencePlan {
             PlanHead::GlobalPoolFc(dense) => dense.num_weights(),
         };
         conv_w + head_w
-    }
-
-    /// `f32` slots one streaming [`crate::Session`] keeps as state: the conv
-    /// ring buffers (each layer's receptive field), pool windows and the head
-    /// window/running mean. This is the per-stream serving memory footprint.
-    pub fn session_state_floats(&self) -> usize {
-        let mut total = 0usize;
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    total += conv1.c_in * conv1.receptive_field();
-                    total += conv2.c_in * conv2.receptive_field();
-                    if let Some(ds) = downsample {
-                        total += ds.c_in * ds.receptive_field();
-                    }
-                }
-                PlanBlock::Plain { convs, pool } => {
-                    total += convs
-                        .iter()
-                        .map(|c| c.c_in * c.receptive_field())
-                        .sum::<usize>();
-                    if let (Some(spec), Some(last)) = (pool, convs.last()) {
-                        total += last.c_out * spec.kernel;
-                    }
-                }
-            }
-        }
-        total += match &self.head {
-            PlanHead::PerStep(conv) => conv.c_in * conv.receptive_field(),
-            PlanHead::Fc {
-                channels, window, ..
-            } => channels * window,
-            PlanHead::GlobalPoolFc(dense) => dense.in_features,
-        };
-        total
-    }
-
-    /// Receptive field of the conv/pool stack in input samples: how much
-    /// history influences one head input column (standard jump/receptive-field
-    /// composition; the Fc head window extends it further at the pooled rate).
-    pub fn receptive_field(&self) -> usize {
-        let mut rf = 1usize;
-        let mut jump = 1usize;
-        let mut grow = |k: usize, d: usize, j: usize| {
-            rf += (k - 1) * d * j;
-        };
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual { conv1, conv2, .. } => {
-                    grow(conv1.k, conv1.dilation, jump);
-                    grow(conv2.k, conv2.dilation, jump);
-                }
-                PlanBlock::Plain { convs, pool } => {
-                    for conv in convs {
-                        grow(conv.k, conv.dilation, jump);
-                    }
-                    if let Some(spec) = pool {
-                        grow(spec.kernel, 1, jump);
-                        jump *= spec.stride;
-                    }
-                }
-            }
-        }
-        if let PlanHead::PerStep(conv) = &self.head {
-            grow(conv.k, conv.dilation, jump);
-        }
-        rf
     }
 
     /// Offline forward over a whole `[N, C_in, T]` window, tape-free.
@@ -674,80 +725,6 @@ impl InferencePlan {
                 dense.forward_offline(&pooled)
             }
         }
-    }
-
-    /// Exports the plan geometry as a [`NetworkDescriptor`] for an input of
-    /// length `t_in` — the persistence seam: render it with
-    /// [`NetworkDescriptor::to_json_string`] and, for sequential plans,
-    /// rebuild the structure later with [`InferencePlan::from_descriptor`].
-    ///
-    /// Descriptors are a flat layer list (the `pit-arch/1` schema carries no
-    /// skip edges), so a plan whose residual block uses a `downsample`
-    /// projection exports a descriptor that is still correct for weight/MAC
-    /// accounting and `pit-hw` deployment modelling, but that
-    /// `from_descriptor` will *reject* rather than rebuild with broken
-    /// channel chaining.
-    pub fn descriptor(&self, t_in: usize) -> NetworkDescriptor {
-        let mut d = NetworkDescriptor::new(self.name.clone());
-        let mut t = t_in;
-        let conv_desc = |conv: &CompiledConv, t: usize| LayerDesc::Conv1d {
-            c_in: conv.c_in,
-            c_out: conv.c_out,
-            kernel: conv.k,
-            dilation: conv.dilation,
-            t_in: t,
-            t_out: t,
-        };
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    d.push(conv_desc(conv1, t));
-                    d.push(conv_desc(conv2, t));
-                    if let Some(ds) = downsample {
-                        d.push(conv_desc(ds, t));
-                    }
-                }
-                PlanBlock::Plain { convs, pool } => {
-                    for conv in convs {
-                        d.push(conv_desc(conv, t));
-                    }
-                    if let Some(spec) = pool {
-                        let t_out = (t.saturating_sub(spec.kernel)) / spec.stride + 1;
-                        let channels = convs.last().map(|c| c.c_out).unwrap_or(0);
-                        d.push(LayerDesc::AvgPool {
-                            channels,
-                            kernel: spec.kernel,
-                            stride: spec.stride,
-                            t_in: t,
-                            t_out,
-                        });
-                        t = t_out;
-                    }
-                }
-            }
-        }
-        match &self.head {
-            PlanHead::PerStep(conv) => d.push(conv_desc(conv, t)),
-            PlanHead::Fc { hidden, output, .. } => {
-                d.push(LayerDesc::Linear {
-                    in_features: hidden.in_features,
-                    out_features: hidden.out_features,
-                });
-                d.push(LayerDesc::Linear {
-                    in_features: output.in_features,
-                    out_features: output.out_features,
-                });
-            }
-            PlanHead::GlobalPoolFc(dense) => d.push(LayerDesc::Linear {
-                in_features: dense.in_features,
-                out_features: dense.out_features,
-            }),
-        }
-        d
     }
 
     /// Rebuilds a plan's *geometry* from a persisted descriptor: convolutions
@@ -1307,7 +1284,7 @@ mod tests {
     }
 
     #[test]
-    fn state_floats_and_receptive_field_are_plausible() {
+    fn state_size_and_receptive_field_are_plausible() {
         let mut rng = StdRng::seed_from_u64(7);
         let cfg = TempoNetConfig::scaled(8, 64);
         let net = TempoNet::new(&mut rng, &cfg);
@@ -1315,8 +1292,8 @@ mod tests {
         let plan = compile_temponet(&net);
         // State is bounded by (weights are the dominant cost, state is
         // per-stream and small).
-        assert!(plan.session_state_floats() > 0);
-        assert!(plan.session_state_floats() < plan.num_weights());
+        assert!(plan.session_state_bytes() > 0);
+        assert!(plan.session_state_bytes() < 4 * plan.num_weights());
         assert!(plan.receptive_field() > 1);
     }
 }

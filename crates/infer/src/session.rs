@@ -1,12 +1,12 @@
 //! Batch-of-sessions serving: many concurrent streams, one kernel call.
 //!
-//! A [`SessionPool`] owns N independent [`Session`]s plus per-session queues
-//! of pending samples. [`SessionPool::flush`] drains the queues in *waves*:
-//! every session with a pending sample contributes one timestep, and the
-//! whole wave moves through the plan layer by layer — each convolution is a
-//! single `[N, C_in·K] × [C_in·K, C_out]` GEMM through
-//! [`pit_tensor::kernels::gemm`] instead of N tiny per-session dot-product
-//! loops. Strided pooling gates sessions independently (each keeps its own
+//! A [`SessionPool`] owns the state of N independent streams plus
+//! per-stream queues of pending samples. [`SessionPool::flush`] drains the
+//! queues in *waves*: every stream with a pending sample contributes one
+//! timestep, and the whole wave moves through the plan layer by layer — each
+//! convolution is a single `[N, C_in·K] × [C_in·K, C_out]` matrix product
+//! through the backend's [`Kernel::matmul`] instead of N tiny per-stream
+//! kernels. Strided pooling gates streams independently (each keeps its own
 //! phase), so a wave simply narrows as it descends past a pool that did not
 //! fire for some streams.
 //!
@@ -14,11 +14,11 @@
 //! audio channels, …) → one batched kernel invocation per layer per wave,
 //! with all scratch owned by the pool and reused across flushes.
 
-use crate::plan::{CompiledConv, Dense, InferencePlan, PlanBlock, PlanHead};
+use crate::plan::{Plan, PlanBlock, PlanHead};
 use crate::stream::{
-    gather_fc_window, push_fc_window, relu_in_place, scratch_widths, BlockState, HeadState, Session,
+    accumulate_mean, gather_fc_window, push_fc_window, Backend, ConvKernel, DenseKernel, Kernel,
+    Scratch, Seam, StreamState, F32,
 };
-use pit_tensor::kernels::gemm;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -29,72 +29,40 @@ use std::sync::Arc;
 /// [`SessionPool::open_stream`] / [`SessionPool::close_stream`] — closing
 /// resets the slot and recycles it, so a long-running server's pool does not
 /// grow with connection churn.
-pub struct SessionPool {
-    plan: Arc<InferencePlan>,
-    sessions: Vec<Session>,
-    /// Pending samples per session, flattened (`input_channels` floats each).
+pub struct SessionPool<B: Backend = F32> {
+    plan: Arc<Plan<B>>,
+    states: Vec<StreamState<B::Elem>>,
+    /// Pending samples per stream, flattened (`input_channels` floats each).
     queues: Vec<VecDeque<f32>>,
     /// Whether each slot currently belongs to a live stream.
     open: Vec<bool>,
     /// Closed slots available for reuse by [`SessionPool::open_stream`].
     free: Vec<usize>,
-    // Per-session scratch widths, kept so open_stream can grow the wave
-    // buffers past the initial session count.
-    col_w: usize,
-    row_w: usize,
-    feat_w: usize,
-    hid_w: usize,
-    // Wave scratch, reused across flushes.
+    /// Slots of the current wave, narrowed by pooling stages.
     active: Vec<usize>,
-    cur: Vec<f32>,
-    nxt: Vec<f32>,
-    skip: Vec<f32>,
-    xrows: Vec<f32>,
-    feats: Vec<f32>,
-    hid: Vec<f32>,
+    /// Wave scratch for every slot, reused across flushes.
+    scratch: Scratch<B::Elem>,
 }
 
-impl SessionPool {
+impl<B: Backend> SessionPool<B> {
     /// Creates a pool of `sessions` fresh (already open) streams over one
     /// shared plan. Pass `0` to start empty and open streams on demand.
-    pub fn new(plan: Arc<InferencePlan>, sessions: usize) -> Self {
-        let (width, row) = scratch_widths(&plan);
-        let width = width.max(plan.output_dim());
-        let (feat_len, hid_len) = match plan.head() {
-            PlanHead::Fc { hidden, .. } => (hidden.in_features(), hidden.out_features()),
-            PlanHead::GlobalPoolFc(dense) => (dense.in_features(), 0),
-            PlanHead::PerStep(_) => (0, 0),
-        };
+    pub fn new(plan: Arc<Plan<B>>, sessions: usize) -> Self {
+        let state = StreamState::new(&plan);
         Self {
-            sessions: (0..sessions)
-                .map(|_| Session::new(Arc::clone(&plan)))
-                .collect(),
-            queues: (0..sessions).map(|_| VecDeque::new()).collect(),
+            states: vec![state; sessions],
+            queues: vec![VecDeque::new(); sessions],
             open: vec![true; sessions],
             free: Vec::new(),
-            plan,
-            col_w: width.max(1),
-            row_w: row.max(1),
-            feat_w: feat_len.max(1),
-            hid_w: hid_len.max(1),
             active: Vec::with_capacity(sessions),
-            cur: vec![0.0; sessions * width.max(1)],
-            nxt: vec![0.0; sessions * width.max(1)],
-            skip: vec![0.0; sessions * width.max(1)],
-            xrows: vec![0.0; sessions * row.max(1)],
-            feats: vec![0.0; sessions * feat_len.max(1)],
-            hid: vec![0.0; sessions * hid_len.max(1)],
+            scratch: Scratch::new(&plan, sessions),
+            plan,
         }
     }
 
     /// The shared plan.
-    pub fn plan(&self) -> &Arc<InferencePlan> {
+    pub fn plan(&self) -> &Arc<Plan<B>> {
         &self.plan
-    }
-
-    /// Number of session slots in the pool (open or recycled).
-    pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Number of currently open streams.
@@ -114,17 +82,11 @@ impl SessionPool {
             self.open[sid] = true;
             return sid;
         }
-        let sid = self.sessions.len();
-        self.sessions.push(Session::new(Arc::clone(&self.plan)));
+        let sid = self.states.len();
+        self.states.push(StreamState::new(&self.plan));
         self.queues.push(VecDeque::new());
         self.open.push(true);
-        let n = self.sessions.len();
-        self.cur.resize(n * self.col_w, 0.0);
-        self.nxt.resize(n * self.col_w, 0.0);
-        self.skip.resize(n * self.col_w, 0.0);
-        self.xrows.resize(n * self.row_w, 0.0);
-        self.feats.resize(n * self.feat_w, 0.0);
-        self.hid.resize(n * self.hid_w, 0.0);
+        self.scratch.resize(self.states.len());
         sid
     }
 
@@ -138,19 +100,19 @@ impl SessionPool {
     /// Panics if `sid` is out of range or already closed.
     pub fn close_stream(&mut self, sid: usize) {
         assert!(self.open[sid], "stream {sid} is not open");
-        self.sessions[sid].reset();
+        self.states[sid].reset();
         self.queues[sid].clear();
         self.open[sid] = false;
         self.free.push(sid);
     }
 
-    /// Pending (queued, not yet flushed) timesteps across all sessions.
+    /// Pending (queued, not yet flushed) timesteps across all streams.
     pub fn pending_steps(&self) -> usize {
         let c = self.plan.input_channels().max(1);
         self.queues.iter().map(|q| q.len() / c).sum()
     }
 
-    /// Pending (queued, not yet flushed) timesteps of one session — what a
+    /// Pending (queued, not yet flushed) timesteps of one stream — what a
     /// serving front end checks against its backpressure cap.
     ///
     /// # Panics
@@ -160,17 +122,7 @@ impl SessionPool {
         self.queues[sid].len() / self.plan.input_channels().max(1)
     }
 
-    /// Resets one session's stream state and drops its queued samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sid` is out of range.
-    pub fn reset_session(&mut self, sid: usize) {
-        self.sessions[sid].reset();
-        self.queues[sid].clear();
-    }
-
-    /// Queues one input sample for session `sid`.
+    /// Queues one input sample for stream `sid`.
     ///
     /// # Panics
     ///
@@ -186,9 +138,9 @@ impl SessionPool {
         self.queues[sid].extend(sample.iter().copied());
     }
 
-    /// Drains every queue, one wave (= one timestep per session with pending
+    /// Drains every queue, one wave (= one timestep per stream with pending
     /// input) at a time, and returns the head outputs that were emitted, as
-    /// `(session_id, output)` in emission order (per session: chronological).
+    /// `(stream_id, output)` in emission order (per stream: chronological).
     pub fn flush(&mut self) -> Vec<(usize, Vec<f32>)> {
         let plan = Arc::clone(&self.plan);
         let c_in = plan.input_channels();
@@ -203,25 +155,22 @@ impl SessionPool {
             if self.active.is_empty() {
                 return results;
             }
-            // Dequeue one sample per active session into the wave matrix.
+            // Dequeue one sample per active stream into the wave matrix.
             for (r, &sid) in self.active.iter().enumerate() {
                 for ci in 0..c_in {
-                    self.cur[r * c_in + ci] = self.queues[sid].pop_front().expect("queued sample");
+                    self.scratch.cur[r * c_in + ci] =
+                        self.queues[sid].pop_front().expect("queued sample");
                 }
             }
-            self.run_wave(&plan, c_in, &mut results);
+            self.run_wave(&plan, &mut results);
         }
     }
 
-    /// Executes one wave currently held in `self.cur` over `self.active`.
-    fn run_wave(
-        &mut self,
-        plan: &InferencePlan,
-        c_in: usize,
-        results: &mut Vec<(usize, Vec<f32>)>,
-    ) {
-        let mut width = c_in;
-        for (bi, block) in plan.blocks().iter().enumerate() {
+    /// Executes one wave currently held in `scratch.cur` over `active`.
+    fn run_wave(&mut self, plan: &Plan<B>, results: &mut Vec<(usize, Vec<f32>)>) {
+        let mut width = plan.input_channels();
+        let (mut ri, mut pi) = (0, 0);
+        for block in plan.blocks() {
             match block {
                 PlanBlock::Residual {
                     conv1,
@@ -229,193 +178,146 @@ impl SessionPool {
                     downsample,
                 } => {
                     let n = self.active.len();
-                    self.skip[..n * width].copy_from_slice(&self.cur[..n * width]);
-                    self.conv_wave(bi, 0, conv1, width, true);
-                    self.conv_wave(bi, 1, conv2, conv1.out_channels(), true);
-                    let c_out = conv2.out_channels();
+                    let s = &mut self.scratch;
+                    s.skip[..n * width].copy_from_slice(&s.cur[..n * width]);
+                    self.conv_wave(ri, conv1, width, true);
+                    self.conv_wave(ri + 1, conv2, conv1.shape().c_out, true);
+                    ri += 2;
                     if let Some(proj) = downsample {
                         // Swap the saved input into `cur` so the conv helper
                         // can read it (the residual branch parks in `skip`),
                         // then swap back: `cur` = branch, `skip` = projection.
-                        std::mem::swap(&mut self.cur, &mut self.skip);
-                        self.conv_wave(bi, 2, proj, width, false);
-                        std::mem::swap(&mut self.cur, &mut self.skip);
+                        let s = &mut self.scratch;
+                        std::mem::swap(&mut s.cur, &mut s.skip);
+                        self.conv_wave(ri, proj, width, false);
+                        let s = &mut self.scratch;
+                        std::mem::swap(&mut s.cur, &mut s.skip);
+                        ri += 1;
                     }
-                    width = c_out;
-                    for (a, b) in self.cur[..n * width].iter_mut().zip(self.skip.iter()) {
+                    width = conv2.shape().c_out;
+                    let s = &mut self.scratch;
+                    for (a, b) in s.cur[..n * width].iter_mut().zip(s.skip.iter()) {
                         *a = (*a + b).max(0.0);
                     }
                 }
                 PlanBlock::Plain { convs, pool } => {
-                    for (cj, conv) in convs.iter().enumerate() {
-                        self.conv_wave(bi, cj, conv, width, true);
-                        width = conv.out_channels();
+                    for conv in convs {
+                        self.conv_wave(ri, conv, width, true);
+                        ri += 1;
+                        width = conv.shape().c_out;
                     }
-                    if let Some(spec) = pool {
-                        // Per-session pool phase: keep only emitting rows.
+                    if let Some(p) = pool {
+                        // Per-stream pool phase: keep only emitting rows.
+                        let s = &mut self.scratch;
                         let mut kept = 0usize;
                         for r in 0..self.active.len() {
                             let sid = self.active[r];
-                            let BlockState::Plain { pool: Some(ps), .. } =
-                                &mut self.sessions[sid].blocks[bi]
-                            else {
-                                unreachable!("pool state missing")
-                            };
                             let (src, dst) = (r * width, kept * width);
-                            let emitted = ps.step(
-                                spec,
-                                &self.cur[src..src + width],
-                                &mut self.nxt[dst..dst + width],
+                            let emitted = self.states[sid].pool_step(
+                                pi,
+                                p,
+                                &s.cur[src..src + width],
+                                &mut s.nxt[dst..dst + width],
                             );
                             if emitted {
                                 self.active[kept] = sid;
                                 kept += 1;
                             }
                         }
+                        pi += 1;
                         self.active.truncate(kept);
                         if self.active.is_empty() {
                             return;
                         }
-                        std::mem::swap(&mut self.cur, &mut self.nxt);
+                        std::mem::swap(&mut s.cur, &mut s.nxt);
                     }
                 }
             }
         }
         let n = self.active.len();
+        let out_f = plan.output_dim();
         match plan.head() {
-            PlanHead::PerStep(conv) => {
-                self.head_conv_wave(conv, width);
-                let c_out = conv.out_channels();
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.cur[r * c_out..(r + 1) * c_out].to_vec()));
-                }
-            }
+            PlanHead::PerStep(conv) => self.conv_wave(ri, conv, width, false),
             PlanHead::Fc {
                 hidden,
                 output,
                 channels,
                 window,
             } => {
-                let in_f = hidden.in_features();
+                let (in_f, hid_f) = hidden.features();
+                let s = &mut self.scratch;
                 for (r, &sid) in self.active.iter().enumerate() {
-                    let HeadState::Fc { buf, pos } = &mut self.sessions[sid].head else {
-                        unreachable!("fc head state missing")
-                    };
-                    push_fc_window(
-                        buf,
-                        pos,
-                        *window,
-                        &self.cur[r * width..r * width + *channels],
-                    );
-                    gather_fc_window(
-                        buf,
-                        *pos,
-                        *channels,
-                        *window,
-                        &mut self.feats[r * in_f..(r + 1) * in_f],
-                    );
+                    let (buf, pos) = self.states[sid].fc_window();
+                    push_fc_window(buf, pos, *window, &s.cur[r * width..][..*channels], hidden);
+                    let feat = &mut s.rows[r * in_f..(r + 1) * in_f];
+                    gather_fc_window(buf, *pos, *channels, *window, feat);
                 }
-                let hid_f = hidden.out_features();
-                dense_wave(hidden, n, &self.feats, &mut self.hid, true);
-                let out_f = output.out_features();
-                dense_wave(output, n, &self.hid[..n * hid_f], &mut self.nxt, false);
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.nxt[r * out_f..(r + 1) * out_f].to_vec()));
+                finish_wave(s, hidden, n, true);
+                // Convert the hidden activations (now in `cur`) at the
+                // output layer's seam, then run the output layer as a
+                // second wave.
+                for (q, &v) in s.rows[..n * hid_f].iter_mut().zip(&s.cur[..n * hid_f]) {
+                    *q = output.seam(v);
                 }
+                finish_wave(s, output, n, false);
             }
             PlanHead::GlobalPoolFc(dense) => {
-                let in_f = dense.in_features();
+                let in_f = dense.features().0;
+                let s = &mut self.scratch;
                 for (r, &sid) in self.active.iter().enumerate() {
-                    let HeadState::GlobalPool { sum, count } = &mut self.sessions[sid].head else {
-                        unreachable!("global-pool head state missing")
-                    };
-                    for (s, &v) in sum.iter_mut().zip(&self.cur[r * width..(r + 1) * width]) {
-                        *s += v;
-                    }
-                    *count += 1;
-                    let inv = 1.0 / *count as f32;
-                    for (f, &s) in self.feats[r * in_f..(r + 1) * in_f]
-                        .iter_mut()
-                        .zip(sum.iter())
-                    {
-                        *f = s * inv;
-                    }
+                    let (sum, count) = self.states[sid].running_sum();
+                    let col = &s.cur[r * width..(r + 1) * width];
+                    accumulate_mean(
+                        sum,
+                        count,
+                        col,
+                        &mut s.rows[r * in_f..(r + 1) * in_f],
+                        dense,
+                    );
                 }
-                let out_f = dense.out_features();
-                dense_wave(dense, n, &self.feats, &mut self.nxt, false);
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.nxt[r * out_f..(r + 1) * out_f].to_vec()));
-                }
+                finish_wave(s, dense, n, false);
             }
         }
-    }
-
-    /// Batched step of one block convolution over the active wave: pushes
-    /// each session's ring, gathers the im2col rows and runs one GEMM.
-    /// Reads columns from `cur`, leaves the output columns in `cur`.
-    fn conv_wave(&mut self, bi: usize, cj: usize, conv: &CompiledConv, width: usize, relu: bool) {
-        let ck = conv.in_channels() * conv.kernel();
+        let cur = &self.scratch.cur;
         for (r, &sid) in self.active.iter().enumerate() {
-            let state = match &mut self.sessions[sid].blocks[bi] {
-                BlockState::Residual { s1, s2, ds } => match cj {
-                    0 => s1,
-                    1 => s2,
-                    _ => ds.as_mut().expect("downsample state"),
-                },
-                BlockState::Plain { convs, .. } => &mut convs[cj],
-            };
-            state.push(&self.cur[r * width..r * width + conv.in_channels()]);
-            state.gather(conv, &mut self.xrows[r * ck..(r + 1) * ck]);
+            results.push((sid, cur[r * out_f..(r + 1) * out_f].to_vec()));
         }
-        self.finish_conv_wave(conv, relu);
     }
 
-    /// Like [`SessionPool::conv_wave`] but against the per-step head state.
-    fn head_conv_wave(&mut self, conv: &CompiledConv, width: usize) {
-        let ck = conv.in_channels() * conv.kernel();
+    /// Batched step of conv `ri` (plan order) over the active wave: pushes
+    /// each stream's ring at the layer seam, gathers the kernel rows and
+    /// runs one matrix product. Reads columns from `cur`, leaves the output
+    /// columns in `cur`.
+    fn conv_wave(&mut self, ri: usize, conv: &B::Conv, width: usize, relu: bool) {
+        let shape = conv.shape();
+        let ck = shape.c_in * shape.k;
+        let s = &mut self.scratch;
         for (r, &sid) in self.active.iter().enumerate() {
-            let HeadState::PerStep(state) = &mut self.sessions[sid].head else {
-                unreachable!("per-step head state missing")
-            };
-            state.push(&self.cur[r * width..r * width + conv.in_channels()]);
-            state.gather(conv, &mut self.xrows[r * ck..(r + 1) * ck]);
+            let ring = self.states[sid].ring(ri);
+            ring.push(&s.cur[r * width..r * width + shape.c_in], |v| conv.seam(v));
+            conv.gather(ring, &mut s.rows[r * ck..]);
         }
-        self.finish_conv_wave(conv, false);
-    }
-
-    /// GEMM + bias (+ ReLU) over the gathered rows, leaving results in `cur`.
-    fn finish_conv_wave(&mut self, conv: &CompiledConv, relu: bool) {
-        let n = self.active.len();
-        let ck = conv.in_channels() * conv.kernel();
-        let c_out = conv.out_channels();
-        for r in 0..n {
-            self.nxt[r * c_out..(r + 1) * c_out].copy_from_slice(conv.bias.data());
-        }
-        gemm(n, ck, c_out, &self.xrows, &conv.wt, &mut self.nxt);
-        if relu {
-            relu_in_place(&mut self.nxt[..n * c_out]);
-        }
-        std::mem::swap(&mut self.cur, &mut self.nxt);
+        finish_wave(s, conv, self.active.len(), relu);
     }
 }
 
-/// Batched dense layer over `n` rows: one GEMM with the `[in, out]` weight
-/// matrix, bias pre-filled, optional ReLU.
-fn dense_wave(dense: &Dense, n: usize, input: &[f32], out: &mut [f32], relu: bool) {
-    let (in_f, out_f) = (dense.in_features(), dense.out_features());
-    for r in 0..n {
-        out[r * out_f..(r + 1) * out_f].copy_from_slice(dense.bias.data());
-    }
-    gemm(n, in_f, out_f, input, dense.weight.data(), out);
-    if relu {
-        relu_in_place(&mut out[..n * out_f]);
-    }
+/// Runs `layer` over the `n` kernel rows in `rows`, leaving the f32 results
+/// in `cur`.
+fn finish_wave<E: Copy + Default>(
+    s: &mut Scratch<E>,
+    layer: &impl Kernel<E>,
+    n: usize,
+    relu: bool,
+) {
+    layer.matmul(n, &s.rows, &mut s.acc, &mut s.nxt, relu);
+    std::mem::swap(&mut s.cur, &mut s.nxt);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{compile_generic, compile_restcn, compile_temponet};
+    use crate::plan::{compile_generic, compile_restcn, compile_temponet, InferencePlan};
+    use crate::stream::Session;
     use pit_models::{
         GenericTcn, GenericTcnConfig, ResTcn, ResTcnConfig, TempoNet, TempoNetConfig,
     };
@@ -498,8 +400,8 @@ mod tests {
         let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
         let plan = Arc::new(compile_generic(&net));
         let mut pool = SessionPool::new(Arc::clone(&plan), 2);
-        // Session 0 gets 3 samples, session 1 gets 1: flush must emit 3 + 1
-        // outputs and keep per-session chronology.
+        // Stream 0 gets 3 samples, stream 1 gets 1: flush must emit 3 + 1
+        // outputs and keep per-stream chronology.
         for i in 0..3 {
             pool.push(0, &[i as f32]);
         }
@@ -519,20 +421,5 @@ mod tests {
             .map(|(_, v)| v.clone())
             .collect();
         assert_eq!(solo_outs, pooled0);
-    }
-
-    #[test]
-    fn reset_session_clears_state_and_queue() {
-        let mut rng = StdRng::seed_from_u64(27);
-        let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
-        let plan = Arc::new(compile_generic(&net));
-        let mut pool = SessionPool::new(Arc::clone(&plan), 1);
-        pool.push(0, &[1.0]);
-        let first = pool.flush();
-        pool.push(0, &[0.5]);
-        pool.reset_session(0);
-        pool.push(0, &[1.0]);
-        let second = pool.flush();
-        assert_eq!(first, second);
     }
 }

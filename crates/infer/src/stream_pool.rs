@@ -1,16 +1,13 @@
-//! The precision-independent serving interface over batched session pools.
+//! The object-safe serving interface over batched session pools.
 //!
-//! [`SessionPool`] (f32) and [`QuantizedSessionPool`] (int8) expose the same
-//! stream lifecycle — open, push, flush in batched waves, close — but as two
-//! unrelated inherent APIs. A serving front end that supports both precisions
-//! would otherwise have to duplicate every call site behind a hand-written
-//! enum dispatch (the `pit-serve` daemon once carried 24 such match arms).
-//! [`StreamPool`] is that seam as a trait: one generic batcher implementation
-//! drives either engine through `Box<dyn StreamPool>`, and a new precision
-//! (f16, sparse, …) plugs in by implementing seven methods.
+//! [`SessionPool`] is generic over its numeric [`Backend`], so a serving
+//! front end that holds pools of several precisions (an f32 and an int8
+//! model in one registry) needs one type for all of them. [`StreamPool`] is
+//! that type: its single blanket implementation forwards to the pool's
+//! inherent methods for every backend, and a front end drives any pool
+//! through `Box<dyn StreamPool>`.
 //!
-//! The contract every implementation upholds (and the pools' own test suites
-//! pin):
+//! The contract the pools uphold (and their test suites pin):
 //!
 //! * stream ids are dense slot indices, recycled by `close_stream` — a
 //!   long-running server's pool does not grow with stream churn;
@@ -21,14 +18,14 @@
 //! * a freshly opened stream starts from the all-zero (causal padding)
 //!   state, regardless of what the recycled slot computed before.
 
-use crate::quant::QuantizedSessionPool;
 use crate::session::SessionPool;
+use crate::stream::Backend;
 
 /// Precision-independent interface to a pool of batched streaming sessions.
 ///
 /// See the [module docs](self) for the behavioural contract. All methods map
-/// one-to-one onto the inherent APIs of [`SessionPool`] and
-/// [`QuantizedSessionPool`]; the trait adds no behaviour of its own.
+/// one-to-one onto the inherent API of [`SessionPool`]; the trait adds no
+/// behaviour of its own.
 pub trait StreamPool: Send {
     /// Opens a stream with fresh (zero) state; returns its slot id.
     fn open_stream(&mut self) -> usize;
@@ -75,7 +72,7 @@ pub trait StreamPool: Send {
     fn output_dim(&self) -> usize;
 }
 
-impl StreamPool for SessionPool {
+impl<B: Backend> StreamPool for SessionPool<B> {
     fn open_stream(&mut self) -> usize {
         SessionPool::open_stream(self)
     }
@@ -117,53 +114,11 @@ impl StreamPool for SessionPool {
     }
 }
 
-impl StreamPool for QuantizedSessionPool {
-    fn open_stream(&mut self) -> usize {
-        QuantizedSessionPool::open_stream(self)
-    }
-
-    fn close_stream(&mut self, sid: usize) {
-        QuantizedSessionPool::close_stream(self, sid);
-    }
-
-    fn push(&mut self, sid: usize, sample: &[f32]) {
-        QuantizedSessionPool::push(self, sid, sample);
-    }
-
-    fn flush(&mut self) -> Vec<(usize, Vec<f32>)> {
-        QuantizedSessionPool::flush(self)
-    }
-
-    fn pending_steps(&self) -> usize {
-        QuantizedSessionPool::pending_steps(self)
-    }
-
-    fn pending_for(&self, sid: usize) -> usize {
-        QuantizedSessionPool::pending_for(self, sid)
-    }
-
-    fn open_streams(&self) -> usize {
-        QuantizedSessionPool::open_streams(self)
-    }
-
-    fn is_open(&self, sid: usize) -> bool {
-        QuantizedSessionPool::is_open(self, sid)
-    }
-
-    fn input_channels(&self) -> usize {
-        self.plan().input_channels()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.plan().output_dim()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::compile_generic;
-    use crate::quant::QuantizedPlan;
+    use crate::quant::{QuantizedPlan, QuantizedSessionPool};
     use pit_models::{GenericTcn, GenericTcnConfig};
     use pit_nas::SearchableNetwork;
     use pit_tensor::init;
@@ -171,7 +126,7 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    /// One generic driver, two engines: the point of the trait.
+    /// One generic driver, both backends: the point of the trait.
     fn lifecycle_through_trait(mut pool: Box<dyn StreamPool>) {
         assert_eq!(pool.input_channels(), 1);
         assert_eq!(pool.output_dim(), 1);

@@ -203,7 +203,7 @@ fn quantized_temponet_streams_within_bound_and_shrinks_state() {
     // The acceptance claims: ~4x smaller per-stream state (i8 rings dominate;
     // only the small f32 pool windows keep it under exactly 4x) and ~4x
     // smaller weight payload.
-    let f32_state = 4 * plan.session_state_floats();
+    let f32_state = plan.session_state_bytes();
     let ratio = f32_state as f64 / qplan.session_state_bytes() as f64;
     assert!(ratio > 3.0, "state ratio {ratio:.2} not ~4x");
     let weight_ratio = (4 * plan.num_weights()) as f64 / qplan.weight_bytes() as f64;

@@ -8,11 +8,8 @@
 
 use pit_serve::StatsSnapshot;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-
-const HTTP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One point-in-time read of `/metrics` plus `/stats`.
 #[derive(Debug, Clone)]
@@ -37,44 +34,14 @@ impl Scrape {
     }
 }
 
-/// One blocking HTTP/1.1 GET against the sidecar.
-///
-/// # Errors
-///
-/// Returns a message on connect/read failures or a non-200 status.
-pub fn http_get(addr: SocketAddr, path: &str) -> Result<String, String> {
-    let stream = TcpStream::connect_timeout(&addr, HTTP_TIMEOUT)
-        .map_err(|e| format!("sidecar {addr} unreachable: {e}"))?;
-    stream
-        .set_read_timeout(Some(HTTP_TIMEOUT))
-        .map_err(|e| format!("sidecar socket: {e}"))?;
-    stream
-        .set_write_timeout(Some(HTTP_TIMEOUT))
-        .map_err(|e| format!("sidecar socket: {e}"))?;
-    let mut stream = stream;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: pit-replay\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .map_err(|e| format!("sidecar write: {e}"))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| format!("sidecar read: {e}"))?;
-    let text = String::from_utf8(response).map_err(|_| "sidecar reply is not UTF-8".to_string())?;
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or("sidecar reply has no header terminator")?;
-    let status: u16 = head
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("sidecar reply has no status code")?;
-    if status != 200 {
-        return Err(format!("GET {path} returned {status}"));
+/// One GET against the sidecar through [`pit_serve::http_get`]; a non-200
+/// status is an error here.
+fn get_ok(addr: SocketAddr, path: &str) -> Result<String, String> {
+    match pit_serve::http_get(addr, path) {
+        Ok((200, body)) => Ok(body),
+        Ok((status, _)) => Err(format!("GET {path} returned {status}")),
+        Err(e) => Err(format!("sidecar {addr} GET {path}: {e}")),
     }
-    Ok(body.to_string())
 }
 
 /// Parses a Prometheus text exposition into selector → value.
@@ -99,8 +66,8 @@ pub fn parse_exposition(text: &str) -> HashMap<String, f64> {
 ///
 /// Returns a message on transport failures or malformed documents.
 pub fn scrape(metrics_addr: SocketAddr) -> Result<Scrape, String> {
-    let samples = parse_exposition(&http_get(metrics_addr, "/metrics")?);
-    let stats = StatsSnapshot::from_json_str(&http_get(metrics_addr, "/stats")?)
+    let samples = parse_exposition(&get_ok(metrics_addr, "/metrics")?);
+    let stats = StatsSnapshot::from_json_str(&get_ok(metrics_addr, "/stats")?)
         .map_err(|e| format!("/stats parse: {e}"))?;
     Ok(Scrape { samples, stats })
 }
@@ -116,7 +83,7 @@ pub fn scrape(metrics_addr: SocketAddr) -> Result<Scrape, String> {
 pub fn settle(metrics_addr: SocketAddr, timeout: Duration) -> Result<Scrape, String> {
     let deadline = Instant::now() + timeout;
     loop {
-        let snap = StatsSnapshot::from_json_str(&http_get(metrics_addr, "/stats")?)
+        let snap = StatsSnapshot::from_json_str(&get_ok(metrics_addr, "/stats")?)
             .map_err(|e| format!("/stats parse: {e}"))?;
         if snap.settled && snap.streams_open == 0 && snap.connections_open == 0 {
             return scrape(metrics_addr);

@@ -16,9 +16,9 @@
 //!   failing schedule replays exactly.
 //! * **Misbehaving clients** — helpers the chaos suite drives against a
 //!   live daemon from the outside: [`drip`] (slow-loris byte writer),
-//!   [`partial_frame_header`] (header-then-stall), [`rst_close`] (abort
-//!   with an RST instead of a FIN), and [`http_get`] (a minimal probe for
-//!   the telemetry sidecar's `/healthz` and `/trace`).
+//!   [`partial_frame_header`] (header-then-stall) and [`rst_close`] (abort
+//!   with an RST instead of a FIN); the suite probes the telemetry
+//!   sidecar's `/healthz` and `/trace` with [`crate::http_get`].
 //! * **[`ChaosRng`]** — a tiny seeded splitmix64 generator so randomized
 //!   interleavings stay reproducible from a committed seed.
 //!
@@ -318,40 +318,6 @@ pub fn peer_hung_up(stream: &TcpStream) -> io::Result<bool> {
     };
     stream.set_nonblocking(false)?;
     Ok(gone)
-}
-
-/// Minimal blocking HTTP/1.1 GET against the telemetry sidecar. Returns
-/// `(status, body)`.
-///
-/// # Errors
-///
-/// Transport errors, or `InvalidData` when the response has no parsable
-/// status line.
-pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let status = response
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse::<u16>().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad response: {response}"),
-            )
-        })?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@ use crate::protocol::{
     MAX_MODEL_NAME,
 };
 use pit_tensor::json::Json;
-use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// What can go wrong talking to a daemon.
@@ -534,4 +534,41 @@ impl Client {
             Err(e) => Err(ServeError::Protocol(e.to_string())),
         }
     }
+}
+
+/// Connect, read and write timeout of [`http_get`].
+const HTTP_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// One blocking HTTP/1.1 GET against the daemon's telemetry sidecar
+/// (`/metrics`, `/stats`, `/healthz`, `/trace`). Returns `(status, body)`
+/// whatever the status; callers decide what a non-200 means.
+///
+/// # Errors
+///
+/// Transport errors (each of connect, read and write times out after
+/// 10 s), or `InvalidData` when the response is not UTF-8 or has no
+/// parsable status line.
+pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
+    let mut stream = TcpStream::connect_timeout(&addr, HTTP_TIMEOUT)?;
+    stream.set_read_timeout(Some(HTTP_TIMEOUT))?;
+    stream.set_write_timeout(Some(HTTP_TIMEOUT))?;
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: pit-serve\r\nConnection: close\r\n\r\n"
+    )?;
+    stream.flush()?;
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response)?;
+    let bad = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
+    let text = String::from_utf8(response).map_err(|_| bad("sidecar reply is not UTF-8"))?;
+    let status = text
+        .strip_prefix("HTTP/1.1 ")
+        .and_then(|rest| rest.get(..3))
+        .and_then(|code| code.parse::<u16>().ok())
+        .ok_or_else(|| bad(&format!("bad response: {text}")))?;
+    let body = text
+        .split_once("\r\n\r\n")
+        .map(|(_, body)| body.to_string())
+        .unwrap_or_default();
+    Ok((status, body))
 }

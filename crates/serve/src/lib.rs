@@ -71,7 +71,7 @@ pub(crate) mod shard;
 pub mod stats;
 pub(crate) mod telemetry;
 
-pub use client::{Client, ClientBuilder, ModelInfo, ServeError};
+pub use client::{http_get, Client, ClientBuilder, ModelInfo, ServeError};
 pub use protocol::{ClientFrame, CloseReason, ErrorCode, FrameError, ServerFrame, MAX_MODEL_NAME};
 pub use server::{ServeEngine, Server, ServerConfig, ServerHandle};
 pub use stats::{ModelSnapshot, StatsSnapshot};

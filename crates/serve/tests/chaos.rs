@@ -182,7 +182,7 @@ fn dump_trace(name: &str, metrics: SocketAddr) {
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
-    if let Ok((200, body)) = chaos::http_get(metrics, "/trace") {
+    if let Ok((200, body)) = pit_serve::http_get(metrics, "/trace") {
         let _ = std::fs::write(dir.join(format!("{name}.json")), body);
     }
 }
@@ -203,7 +203,7 @@ fn epilogue(name: &str, addr: SocketAddr, metrics: SocketAddr) -> StatsSnapshot 
         ),
         "daemon must answer PING after the scenario"
     );
-    let (status, body) = chaos::http_get(metrics, "/healthz").expect("healthz reachable");
+    let (status, body) = pit_serve::http_get(metrics, "/healthz").expect("healthz reachable");
     assert_eq!(status, 200, "healthz after chaos: {body}");
     assert!(body.contains("serving"), "healthz after chaos: {body}");
 

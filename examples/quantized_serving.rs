@@ -57,7 +57,7 @@ fn main() {
     let calibration: Vec<_> = (0..4).map(|i| windows.gather(&[i]).inputs).collect();
     let qplan = Arc::new(QuantizedPlan::quantize(&plan, &calibration).expect("plan quantizes"));
     let f32_weight_bytes = 4 * plan.num_weights();
-    let f32_state_bytes = 4 * plan.session_state_floats();
+    let f32_state_bytes = plan.session_state_bytes();
     println!(
         "quantized plan        : {} -> {} weight bytes ({:.1}x), {} -> {} state bytes/stream ({:.1}x)",
         f32_weight_bytes,

@@ -32,25 +32,11 @@ const C: usize = 4;
 const STREAMS: usize = 16;
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// One blocking HTTP GET against the telemetry sidecar; returns the body.
+/// One GET against the telemetry sidecar; returns the body of a 200.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("sidecar reachable");
-    stream.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: example\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .expect("request sent");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("response read");
-    let text = String::from_utf8(response).expect("UTF-8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("header terminator");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "sidecar answered 200: {head}"
-    );
-    body.to_string()
+    let (status, body) = pit_serve::http_get(addr, path).expect("sidecar reachable");
+    assert_eq!(status, 200, "sidecar answered {status} for {path}");
+    body
 }
 
 fn main() {

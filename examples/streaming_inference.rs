@@ -45,10 +45,10 @@ fn main() {
     // 2. Compile the trained network: masks -> true dilations, BN folded.
     let plan = Arc::new(compile_temponet(&net));
     println!(
-        "compiled plan         : {} weights (searchable net stores {}), {} state floats/stream",
+        "compiled plan         : {} weights (searchable net stores {}), {} state bytes/stream",
         plan.num_weights(),
         net.num_weights(),
-        plan.session_state_floats()
+        plan.session_state_bytes()
     );
 
     // 3. Parity: stream one window sample-by-sample vs the offline forward.
