@@ -62,6 +62,24 @@
 //! exactly one model, for which these semantics degenerate to the old
 //! whole-daemon swap.
 //!
+//! ## Reply ordering
+//!
+//! The edge thread decides every stream's lifecycle; the shard threads only
+//! run waves. One connection's replies keep this order at any shard count:
+//!
+//! * Replies the edge produces — OPENED, PONG, STATS_JSON, MODELS_JSON,
+//!   MODEL_LOADED, TRACE_JSON and every ERROR — come in request order.
+//! * A stream's OPENED comes before any EMIT, EMIT_N or CLOSED for it.
+//! * A stream's EMIT/EMIT_N frames are in timestep order and come before
+//!   its CLOSED.
+//! * CLOSED (by client, idle-evicted or drained) comes from the stream's
+//!   shard and waits for the stream's final wave, so an edge reply to a
+//!   later request can overtake it. A client's barrier after CLOSE is the
+//!   CLOSED itself.
+//!
+//! Nothing else is ordered: emissions of different streams interleave, and
+//! an edge reply can overtake emissions of earlier PUSHes.
+//!
 //! Decoding is defensive by construction: bodies are bounded by
 //! [`MAX_FRAME_BODY`] before any allocation, every multi-byte field checks
 //! the remaining length, and a malformed body yields a [`FrameError`] — the

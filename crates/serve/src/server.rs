@@ -9,9 +9,11 @@
 //!   4096 streams cost 4096 sockets, not 8192 stacks. The edge reassembles
 //!   and decodes frames, answers PING/STATS/LOAD_MODEL in place, validates
 //!   OPEN/PUSH (duplicates, server capacity, channel count, backpressure)
-//!   and routes stream work to shards. Outbound frames accumulate in
-//!   bounded per-connection outbufs drained with vectored writes whenever
-//!   the socket accepts them.
+//!   and routes stream work to shards. It is the only place that decides a
+//!   stream's lifecycle: it answers an admitted OPEN with OPENED itself and
+//!   decides CLOSE, idle eviction and disconnect. Outbound frames
+//!   accumulate in bounded per-connection outbufs drained with vectored
+//!   writes whenever the socket accepts them.
 //! * **Shards** ([`ServerConfig::shards`] wave-batcher threads): each owns
 //!   one session-pool shard behind the [`pit_infer::StreamPool`] trait —
 //!   one generic batcher for both precisions. A stream is pinned to
@@ -22,11 +24,12 @@
 //! ## Lifecycle
 //!
 //! Streams are opened per connection (OPEN), served until CLOSE, idle
-//! eviction ([`ServerConfig::idle_timeout`]) or disconnect, and their pool
-//! slots are recycled shard-side. [`ServerHandle::shutdown`] drains
-//! gracefully: the edge sweeps already-arrived bytes, shards flush queued
-//! timesteps into final emissions, every stream gets a CLOSED frame, and
-//! the aggregated [`crate::StatsSnapshot`] is returned.
+//! eviction ([`ServerConfig::idle_timeout`], checked by the edge) or
+//! disconnect, and their pool slots are recycled shard-side.
+//! [`ServerHandle::shutdown`] drains gracefully: the edge sweeps
+//! already-arrived bytes, shards flush queued timesteps into final
+//! emissions, every stream gets a CLOSED frame, and the aggregated
+//! [`crate::StatsSnapshot`] is returned.
 
 #[cfg(feature = "chaos")]
 use crate::chaos::{FaultInjector, IoFault};
@@ -37,7 +40,7 @@ use crate::http;
 use crate::protocol::{
     decode_client, encode_server, ClientFrame, ErrorCode, FrameAssembler, FrameError, ServerFrame,
 };
-use crate::shard::{Shard, ShardEvent, ShardNote};
+use crate::shard::{Shard, ShardEvent};
 use crate::stats::{ModelStats, ShardStats, StatsSnapshot};
 use crate::telemetry::{ModelMeta, ServeState, Telemetry, TraceKind};
 use pit_infer::{
@@ -68,7 +71,10 @@ pub struct ServerConfig {
     /// Wave cadence: each shard runs at most one pool flush per tick, so
     /// timesteps arriving within a tick batch into the same waves.
     pub tick: Duration,
-    /// Evict streams with no client activity for this long (`None` = never).
+    /// Evict streams with no client activity (OPEN or an admitted PUSH)
+    /// for this long (`None` = never). The edge checks on every loop
+    /// iteration, so an eviction lands at most one 100 ms poll timeout
+    /// late.
     pub idle_timeout: Option<Duration>,
     /// Wave-batcher shards (threads), each owning one pool shard per
     /// registry model. Defaults to the machine's available parallelism,
@@ -100,8 +106,8 @@ pub struct ServerConfig {
     pub read_progress_timeout: Option<Duration>,
     /// Deterministic fault injection (chaos testing): forced
     /// `WouldBlock`/`Interrupted` edge reads, skipped flushes, delayed
-    /// shard wakeups, wave-flush stalls, delayed eviction notes. `None`
-    /// (the default) injects nothing; see [`crate::chaos::FaultPlan`].
+    /// shard wakeups, wave-flush stalls. `None` (the default) injects
+    /// nothing; see [`crate::chaos::FaultPlan`].
     #[cfg(feature = "chaos")]
     pub faults: Option<Arc<FaultInjector>>,
 }
@@ -219,16 +225,13 @@ fn shard_of(conn: ConnId, stream_id: u32, shards: usize) -> usize {
     (x % shards as u64) as usize
 }
 
-/// One open stream in the edge's table: its registry model plus the
-/// generation stamped at OPEN. The generation disambiguates stream-id
-/// reincarnation: a shard's eviction note names the generation it evicted,
-/// so a note that arrives after the client already CLOSEd *and re-OPENed*
-/// the same id cannot release the new stream's budget slot (the
-/// double-decrement race this replaced — see [`Edge::handle_note`]).
+/// One open stream in the edge's table: its registry model and when the
+/// client last OPENed it or had a PUSH admitted for it (the idle-eviction
+/// clock).
 #[derive(Clone, Copy)]
 struct OpenStream {
     model: usize,
-    gen: u64,
+    last_activity: Instant,
 }
 
 /// Edge-side per-connection state. The socket lives here (and only here);
@@ -240,10 +243,10 @@ struct EdgeConn {
     out: Arc<OutBuf>,
     pending: Arc<AtomicUsize>,
     v2: Arc<AtomicBool>,
-    /// Client stream ids opened (and not yet closed) on this connection,
-    /// each mapped to its registry model index and open generation — the
-    /// edge's authoritative view for duplicate/capacity checks, per-stream
-    /// channel checks and budget accounting.
+    /// Client stream ids opened (and not yet closed or evicted) on this
+    /// connection — the edge's authoritative view for duplicate/capacity
+    /// checks, per-stream channel checks, idle eviction and budget
+    /// accounting.
     streams: HashMap<u32, OpenStream>,
     /// Set when the last vectored write left bytes queued: poll for
     /// `POLLOUT` instead of busy-retrying.
@@ -278,12 +281,10 @@ struct Edge {
     telemetry: Arc<Telemetry>,
     /// Server-wide open-stream budget (edge-authoritative: incremented on
     /// OPEN, decremented — only ever through [`Edge::release_stream`] — on
-    /// CLOSE, disconnect, and shard eviction notes).
+    /// CLOSE, idle eviction and disconnect).
     total_open: usize,
     draining: bool,
     next_conn: ConnId,
-    /// Generation stamped on each OPEN (see [`OpenStream::gen`]).
-    next_gen: u64,
     read_buf: Vec<u8>,
     dead: Vec<ConnId>,
 }
@@ -585,23 +586,27 @@ impl Edge {
             );
             return;
         }
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        state.streams.insert(stream_id, OpenStream { model, gen });
+        state.streams.insert(
+            stream_id,
+            OpenStream {
+                model,
+                last_activity: Instant::now(),
+            },
+        );
         self.total_open += 1;
         self.models[model]
             .stats
             .streams_open
             .fetch_add(1, Ordering::Relaxed);
-        // The shard opens the pool slot and replies Opened, keeping reply
-        // order consistent with the emissions that follow.
+        // OPENED goes out before the Open is routed: every later reply for
+        // the stream comes from its shard, after the slot exists.
+        self.send(conn, &ServerFrame::Opened { stream_id });
         self.route(
             self.shard_index(conn, stream_id),
             ShardEvent::Open {
                 conn,
                 stream_id,
                 model,
-                gen,
             },
         );
     }
@@ -610,7 +615,8 @@ impl Edge {
     /// match *each named stream's own model* (streams of differently-shaped
     /// models cannot share one frame), every stream must be open on this
     /// connection, and the connection must be under its pending-timestep
-    /// cap. On success charges `count` to the pending counter.
+    /// cap. On success charges `count` to the pending counter and restarts
+    /// each named stream's idle clock.
     fn admit_push(
         &mut self,
         conn: ConnId,
@@ -654,7 +660,7 @@ impl Edge {
             self.send_error(conn, ErrorCode::BadFrame, msg);
             return false;
         }
-        let Some(state) = self.conns.get(&conn) else {
+        let Some(state) = self.conns.get_mut(&conn) else {
             return false;
         };
         let conn_pending = state.pending.load(Ordering::Relaxed);
@@ -670,6 +676,12 @@ impl Edge {
             return false;
         }
         state.pending.fetch_add(count, Ordering::Relaxed);
+        let now = Instant::now();
+        for sid in stream_ids {
+            if let Some(open) = state.streams.get_mut(sid) {
+                open.last_activity = now;
+            }
+        }
         true
     }
 
@@ -809,7 +821,7 @@ impl Edge {
 
     /// The single decrement path of the open-stream budget: releases one
     /// slot of `total_open` and the model's gauge. Every closer (CLOSE,
-    /// disconnect, eviction note) funnels through here, and the caller
+    /// idle eviction, disconnect) funnels through here, and the caller
     /// must have just removed the stream's table entry — holding the
     /// removal and the decrement together is what makes a double
     /// decrement structurally impossible.
@@ -851,46 +863,38 @@ impl Edge {
         self.dead.push(conn);
     }
 
-    fn handle_note(&mut self, note: ShardNote) {
-        match note {
-            ShardNote::StreamClosed {
-                conn,
-                stream_id,
-                gen,
-            } => {
-                // Only release the generation the shard actually evicted.
-                // Matching on the id alone double-decremented when a CLOSE
-                // raced the eviction *and* the client re-OPENed the same
-                // id before this note arrived: the note then released the
-                // new stream's slot and orphaned its table entry.
-                let released = self.conns.get_mut(&conn).and_then(|state| {
-                    match state.streams.get(&stream_id) {
-                        Some(open) if open.gen == gen => {
-                            state.streams.remove(&stream_id).map(|open| open.model)
-                        }
-                        // Already released (CLOSE/disconnect won the race)
-                        // or a different generation lives under this id.
-                        _ => None,
+    /// The edge's reaper. First enforces [`ServerConfig::idle_timeout`]:
+    /// each stream idle that long leaves the edge table, releases its
+    /// budget slot and is routed to its shard as an Evict (which sends the
+    /// CLOSED). Then enforces [`ServerConfig::read_progress_timeout`]:
+    /// kills connections whose partial frame has not completed within the
+    /// deadline (the slow-loris shape: a header then a stall, or a
+    /// one-byte drip that never finishes a frame) and streamless
+    /// connections that completed no frame within it.
+    fn expire_stalled(&mut self) {
+        let now = Instant::now();
+        if let Some(timeout) = self.config.idle_timeout {
+            let mut idle: Vec<(ConnId, u32, usize)> = Vec::new();
+            for (&conn, state) in &mut self.conns {
+                state.streams.retain(|&stream_id, open| {
+                    let live = now.duration_since(open.last_activity) <= timeout;
+                    if !live {
+                        idle.push((conn, stream_id, open.model));
                     }
+                    live
                 });
-                if let Some(model) = released {
-                    self.release_stream(model);
-                }
+            }
+            for (conn, stream_id, model) in idle {
+                self.release_stream(model);
+                self.route(
+                    self.shard_index(conn, stream_id),
+                    ShardEvent::Evict { conn, stream_id },
+                );
             }
         }
-    }
-
-    /// Enforces [`ServerConfig::read_progress_timeout`]: kills connections
-    /// whose partial frame has not completed within the deadline (the
-    /// slow-loris shape: a header then a stall, or a one-byte drip that
-    /// never finishes a frame) and streamless connections that completed
-    /// no frame within it. Connections with open streams and clean frame
-    /// boundaries are the idle-eviction path's business, not ours.
-    fn expire_stalled(&mut self) {
         let Some(timeout) = self.config.read_progress_timeout else {
             return;
         };
-        let now = Instant::now();
         let stalled: Vec<ConnId> = self
             .conns
             .iter()
@@ -1162,7 +1166,6 @@ impl Server {
     pub fn run(mut self) -> StatsSnapshot {
         let telemetry = Arc::clone(&self.telemetry);
         let shards = self.config.shards.max(1);
-        let (note_tx, note_rx) = mpsc::channel::<ShardNote>();
         let shard_models: Vec<(ServeEngine, Arc<ModelStats>)> = self
             .models
             .iter()
@@ -1183,10 +1186,8 @@ impl Server {
                 index,
                 &shard_models,
                 self.config.tick,
-                self.config.idle_timeout,
                 Arc::clone(&stats),
                 Arc::clone(&telemetry),
-                note_tx.clone(),
                 self.waker.clone(),
             );
             #[cfg(feature = "chaos")]
@@ -1195,7 +1196,6 @@ impl Server {
             shard_stats.push(stats);
             shard_threads.push(std::thread::spawn(move || shard.run(rx)));
         }
-        drop(note_tx);
         telemetry.install_shards(shard_stats.clone());
         self.listener
             .set_nonblocking(true)
@@ -1236,7 +1236,6 @@ impl Server {
             total_open: 0,
             draining: false,
             next_conn: 0,
-            next_gen: 0,
             read_buf: vec![0u8; 64 * 1024],
             dead: Vec::new(),
         };
@@ -1247,12 +1246,6 @@ impl Server {
         // When set, a graceful drain is underway: keep reading and
         // flushing (OPENs are already refused) until the grace deadline.
         let mut drain_deadline: Option<Instant> = None;
-        // Shard notes held back by the chaos `note_delay` fault, due-time
-        // ordered (the channel delivers in send order and the delay is
-        // constant, so pushing back keeps the front oldest).
-        #[cfg(feature = "chaos")]
-        let mut delayed_notes: std::collections::VecDeque<(Instant, ShardNote)> =
-            std::collections::VecDeque::new();
         loop {
             fds.clear();
             ids.clear();
@@ -1273,28 +1266,6 @@ impl Server {
                 .edge_poll_ns
                 .record(dispatch_start.duration_since(poll_start).as_nanos() as u64);
             self.wake_pipe.drain();
-            #[cfg(feature = "chaos")]
-            let note_delay = edge
-                .config
-                .faults
-                .as_ref()
-                .and_then(|f| f.plan().note_delay);
-            while let Ok(note) = note_rx.try_recv() {
-                #[cfg(feature = "chaos")]
-                if let Some(delay) = note_delay {
-                    delayed_notes.push_back((Instant::now() + delay, note));
-                    continue;
-                }
-                edge.handle_note(note);
-            }
-            #[cfg(feature = "chaos")]
-            while delayed_notes
-                .front()
-                .is_some_and(|&(due, _)| Instant::now() >= due)
-            {
-                let (_, note) = delayed_notes.pop_front().expect("front checked");
-                edge.handle_note(note);
-            }
             if self.shutdown.load(Ordering::SeqCst) && drain_deadline.is_none() {
                 // Flip to draining *before* tearing anything down: load
                 // balancers polling /healthz see 503 while reads are still
@@ -1324,13 +1295,7 @@ impl Server {
                 .record(dispatch_start.elapsed().as_nanos() as u64);
         }
 
-        // Graceful drain. 0) Apply notes the chaos delay was still holding
-        // so the final accounting matches what the shards reported.
-        #[cfg(feature = "chaos")]
-        for (_, note) in delayed_notes {
-            edge.handle_note(note);
-        }
-        // 1) Sweep bytes clients already got onto the wire so queued
+        // Graceful drain. 1) Sweep bytes clients already got onto the wire so queued
         // PUSHes become final emissions (new OPENs and swaps are refused
         // from here).
         edge.draining = true;

@@ -14,26 +14,31 @@
 //! flushes every pool with pending timesteps — each model still batches
 //! its own streams into single GEMMs.
 //!
+//! Shards decide nothing about a stream's life: the edge admits every OPEN
+//! (and sends its OPENED), validates every PUSH, and decides CLOSE, idle
+//! eviction and disconnect. A shard applies the routed events in its
+//! channel's FIFO order, so it always sees a stream's Open before its
+//! pushes and no event after its Close or Evict.
+//!
 //! Shards never touch a socket: replies are encoded into the connection's
 //! [`OutBuf`] and the edge is woken through the self-pipe [`Waker`] to
 //! drain them. The little cross-thread state a shard shares is explicit:
 //! the per-connection pending-timestep counter (backpressure, edge
 //! increments / shard decrements), the per-connection v2 latch (EMIT vs
-//! EMIT_N formatting), its [`ShardStats`] block, the per-model
-//! [`ModelStats`] blocks shared by every shard, and a note channel back to
-//! the edge so idle evictions release the server-wide stream budget.
+//! EMIT_N formatting), its [`ShardStats`] block and the per-model
+//! [`ModelStats`] blocks shared by every shard.
 
 #[cfg(feature = "chaos")]
 use crate::chaos::FaultInjector;
 use crate::edge::{OutBuf, Waker};
-use crate::protocol::{encode_server, CloseReason, ErrorCode, ServerFrame, MAX_FRAME_BODY};
+use crate::protocol::{encode_server, CloseReason, ServerFrame, MAX_FRAME_BODY};
 use crate::server::{ConnId, ServeEngine};
 use crate::stats::{ModelStats, ShardStats};
 use crate::telemetry::{Telemetry, TraceKind};
 use pit_infer::StreamPool;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,18 +54,17 @@ pub(crate) enum ShardEvent {
     },
     /// The connection is gone (broadcast): close its streams on this shard.
     Disconnected { conn: ConnId },
-    /// OPEN, pre-validated by the edge (duplicate + capacity checks, and
-    /// `model` resolved against the registry). `gen` is the edge's open
-    /// generation, echoed back in eviction notes so the edge can tell an
-    /// eviction of *this* incarnation of the stream id from a later one.
+    /// OPEN, admitted and already answered with OPENED by the edge
+    /// (`model` resolved against the registry): open the pool slot.
     Open {
         conn: ConnId,
         stream_id: u32,
         model: usize,
-        gen: u64,
     },
     /// CLOSE, pre-validated by the edge (the stream was open there).
     Close { conn: ConnId, stream_id: u32 },
+    /// The edge evicted the stream for idleness: drop its queued timesteps.
+    Evict { conn: ConnId, stream_id: u32 },
     /// `count` timesteps for one stream (a v1 PUSH, or one entry of a v2
     /// PUSH_N). The edge already validated channels and charged `count`
     /// to the connection's pending counter.
@@ -86,19 +90,6 @@ pub(crate) enum ShardEvent {
 /// connection that is already gone.
 const CLOSE_DISCONNECTED: u64 = 3;
 
-/// What a shard reports back to the edge (processed on each wakeup).
-pub(crate) enum ShardNote {
-    /// A stream ended shard-side (idle eviction): the edge must release
-    /// its slot in the server-wide stream budget. `gen` names the open
-    /// generation that was evicted — the edge ignores the note when the
-    /// id has since been closed and reopened under a newer generation.
-    StreamClosed {
-        conn: ConnId,
-        stream_id: u32,
-        gen: u64,
-    },
-}
-
 struct ShardConn {
     out: Arc<OutBuf>,
     /// Connection-wide queued-timestep counter (shared with the edge,
@@ -117,9 +108,6 @@ struct ShardConn {
 struct StreamInfo {
     conn: ConnId,
     client_id: u32,
-    /// The edge's open generation, echoed in eviction notes.
-    gen: u64,
-    last_activity: Instant,
 }
 
 pub(crate) struct Shard {
@@ -130,13 +118,11 @@ pub(crate) struct Shard {
     /// Per-model counter blocks, shared with every other shard.
     model_stats: Vec<Arc<ModelStats>>,
     tick: Duration,
-    idle_timeout: Option<Duration>,
     conns: HashMap<ConnId, ShardConn>,
     /// `(model, pool slot)` → owner.
     streams: HashMap<(usize, usize), StreamInfo>,
     stats: Arc<ShardStats>,
     telemetry: Arc<Telemetry>,
-    notes: Sender<ShardNote>,
     waker: Waker,
     /// Set when this iteration queued reply bytes: ring the edge once per
     /// iteration, not once per frame.
@@ -152,10 +138,8 @@ impl Shard {
         index: usize,
         models: &[(ServeEngine, Arc<ModelStats>)],
         tick: Duration,
-        idle_timeout: Option<Duration>,
         stats: Arc<ShardStats>,
         telemetry: Arc<Telemetry>,
-        notes: Sender<ShardNote>,
         waker: Waker,
     ) -> Self {
         Self {
@@ -163,12 +147,10 @@ impl Shard {
             pools: models.iter().map(|(e, _)| e.new_pool()).collect(),
             model_stats: models.iter().map(|(_, s)| Arc::clone(s)).collect(),
             tick,
-            idle_timeout,
             conns: HashMap::new(),
             streams: HashMap::new(),
             stats,
             telemetry,
-            notes,
             waker,
             wrote: false,
             #[cfg(feature = "chaos")]
@@ -202,26 +184,6 @@ impl Shard {
             state.out.push(encode_server(frame));
             self.wrote = true;
         }
-    }
-
-    fn send_error(&mut self, conn: ConnId, code: ErrorCode, message: impl Into<String>) {
-        self.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.trace.record(
-            TraceKind::Error,
-            conn,
-            None,
-            Some(self.index),
-            None,
-            code as u64,
-            self.telemetry.now_us(),
-        );
-        self.send(
-            conn,
-            &ServerFrame::Error {
-                code,
-                message: message.into(),
-            },
-        );
     }
 
     fn handle(&mut self, event: ShardEvent) {
@@ -260,9 +222,13 @@ impl Shard {
                 conn,
                 stream_id,
                 model,
-                gen,
-            } => self.handle_open(conn, stream_id, model, gen),
-            ShardEvent::Close { conn, stream_id } => self.handle_close(conn, stream_id),
+            } => self.handle_open(conn, stream_id, model),
+            ShardEvent::Close { conn, stream_id } => {
+                self.end_stream(conn, stream_id, CloseReason::ByClient);
+            }
+            ShardEvent::Evict { conn, stream_id } => {
+                self.end_stream(conn, stream_id, CloseReason::IdleEvicted);
+            }
             ShardEvent::Push {
                 conn,
                 stream_id,
@@ -285,7 +251,7 @@ impl Shard {
         }
     }
 
-    fn handle_open(&mut self, conn: ConnId, stream_id: u32, model: usize, gen: u64) {
+    fn handle_open(&mut self, conn: ConnId, stream_id: u32, model: usize) {
         let Some(state) = self.conns.get_mut(&conn) else {
             return;
         };
@@ -296,8 +262,6 @@ impl Shard {
             StreamInfo {
                 conn,
                 client_id: stream_id,
-                gen,
-                last_activity: Instant::now(),
             },
         );
         self.stats.streams_opened.fetch_add(1, Ordering::Relaxed);
@@ -308,49 +272,41 @@ impl Shard {
             .streams_open
             .store(self.streams.len() as u64, Ordering::Relaxed);
         self.trace(TraceKind::Open, conn, stream_id, model, 0);
-        self.send(conn, &ServerFrame::Opened { stream_id });
     }
 
-    fn handle_close(&mut self, conn: ConnId, stream_id: u32) {
+    /// Ends one stream and sends its CLOSED. A CLOSE or a drain is an
+    /// orderly end: timesteps the stream already pushed become final
+    /// emissions first. An idle eviction drops them and refunds their
+    /// pending charge.
+    fn end_stream(&mut self, conn: ConnId, stream_id: u32, reason: CloseReason) {
         let Some((model, slot)) = self
             .conns
             .get_mut(&conn)
             .and_then(|c| c.streams.remove(&stream_id))
         else {
-            // The edge validated liveness against its own table, but an
-            // idle eviction can race the CLOSE: the stream is simply gone.
-            self.send_error(
-                conn,
-                ErrorCode::UnknownStream,
-                format!("stream {stream_id} is not open"),
-            );
             return;
         };
-        // CLOSE is an orderly end, not an abort: timesteps the stream
-        // already pushed must become final emissions, not vanish depending
-        // on where the tick happened to land.
-        if self.pools[model].pending_for(slot) > 0 {
-            self.run_wave();
-        }
+        let pending = self.pools[model].pending_for(slot);
+        let (kind, count) = if reason == CloseReason::IdleEvicted {
+            if let Some(state) = self.conns.get_mut(&conn) {
+                state.queued = state.queued.saturating_sub(pending);
+                state.pending.fetch_sub(pending, Ordering::Relaxed);
+            }
+            self.stats.streams_evicted.fetch_add(1, Ordering::Relaxed);
+            (TraceKind::Evict, pending as u64)
+        } else {
+            if pending > 0 {
+                self.run_wave();
+            }
+            (TraceKind::Close, reason as u64)
+        };
         self.pools[model].close_stream(slot);
         self.streams.remove(&(model, slot));
         self.stats
             .streams_open
             .store(self.streams.len() as u64, Ordering::Relaxed);
-        self.trace(
-            TraceKind::Close,
-            conn,
-            stream_id,
-            model,
-            CloseReason::ByClient as u64,
-        );
-        self.send(
-            conn,
-            &ServerFrame::Closed {
-                stream_id,
-                reason: CloseReason::ByClient,
-            },
-        );
+        self.trace(kind, conn, stream_id, model, count);
+        self.send(conn, &ServerFrame::Closed { stream_id, reason });
     }
 
     fn handle_push(&mut self, conn: ConnId, stream_id: u32, count: usize, samples: &[f32]) {
@@ -359,16 +315,6 @@ impl Shard {
             .get(&conn)
             .and_then(|c| c.streams.get(&stream_id))
         else {
-            // Evicted (or closed) between the edge's check and now: refund
-            // the pending charge the edge made and tell the client.
-            if let Some(state) = self.conns.get(&conn) {
-                state.pending.fetch_sub(count, Ordering::Relaxed);
-            }
-            self.send_error(
-                conn,
-                ErrorCode::UnknownStream,
-                format!("stream {stream_id} is not open"),
-            );
             return;
         };
         let c_in = self.pools[model].input_channels();
@@ -385,9 +331,6 @@ impl Shard {
             .timesteps_in
             .fetch_add(count as u64, Ordering::Relaxed);
         self.trace(TraceKind::Push, conn, stream_id, model, count as u64);
-        if let Some(info) = self.streams.get_mut(&(model, slot)) {
-            info.last_activity = Instant::now();
-        }
     }
 
     /// One batched wave: flush every model pool with queued timesteps (one
@@ -507,111 +450,40 @@ impl Shard {
         }
     }
 
-    fn evict_idle(&mut self) {
-        let Some(timeout) = self.idle_timeout else {
-            return;
-        };
-        let now = Instant::now();
-        let stale: Vec<(usize, usize)> = self
-            .streams
-            .iter()
-            .filter(|(_, info)| now.duration_since(info.last_activity) > timeout)
-            .map(|(&key, _)| key)
-            .collect();
-        for (model, slot) in stale {
-            let Some(info) = self.streams.remove(&(model, slot)) else {
-                continue;
-            };
-            let dropped = self.pools[model].pending_for(slot);
-            self.pools[model].close_stream(slot);
-            if let Some(state) = self.conns.get_mut(&info.conn) {
-                state.streams.remove(&info.client_id);
-                state.queued = state.queued.saturating_sub(dropped);
-                state.pending.fetch_sub(dropped, Ordering::Relaxed);
-            }
-            self.stats.streams_evicted.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .streams_open
-                .store(self.streams.len() as u64, Ordering::Relaxed);
-            self.trace(
-                TraceKind::Evict,
-                info.conn,
-                info.client_id,
-                model,
-                dropped as u64,
-            );
-            // Release the edge's stream budget before the client learns —
-            // a reopen after CLOSED must find the slot free.
-            let _ = self.notes.send(ShardNote::StreamClosed {
-                conn: info.conn,
-                stream_id: info.client_id,
-                gen: info.gen,
-            });
-            self.send(
-                info.conn,
-                &ServerFrame::Closed {
-                    stream_id: info.client_id,
-                    reason: CloseReason::IdleEvicted,
-                },
-            );
-        }
-    }
-
     /// Timesteps queued across every model pool on this shard.
     fn pending_steps(&self) -> usize {
         self.pools.iter().map(|p| p.pending_steps()).sum()
     }
 
-    /// Graceful drain: flush whatever is queued, deliver the final
-    /// emissions, and tell every stream it is over.
+    /// Graceful drain: end every stream the orderly way, so queued
+    /// timesteps become final emissions before each CLOSED.
     fn drain(&mut self) {
-        if self.pending_steps() > 0 {
-            self.run_wave();
+        let open: Vec<(ConnId, u32)> = self
+            .streams
+            .values()
+            .map(|info| (info.conn, info.client_id))
+            .collect();
+        for (conn, stream_id) in open {
+            self.end_stream(conn, stream_id, CloseReason::Drained);
         }
-        let open: Vec<(usize, usize)> = self.streams.keys().copied().collect();
-        for (model, slot) in open {
-            let Some(info) = self.streams.remove(&(model, slot)) else {
-                continue;
-            };
-            self.pools[model].close_stream(slot);
-            if let Some(state) = self.conns.get_mut(&info.conn) {
-                state.streams.remove(&info.client_id);
-            }
-            self.trace(
-                TraceKind::Close,
-                info.conn,
-                info.client_id,
-                model,
-                CloseReason::Drained as u64,
-            );
-            self.send(
-                info.conn,
-                &ServerFrame::Closed {
-                    stream_id: info.client_id,
-                    reason: CloseReason::Drained,
-                },
-            );
-        }
-        self.stats.streams_open.store(0, Ordering::Relaxed);
     }
 
     /// The shard thread: collect routed events, run at most one wave per
-    /// tick, evict idle streams, and drain when the edge closes the
-    /// channel.
+    /// tick, and drain when the edge closes the channel.
     pub(crate) fn run(mut self, rx: Receiver<ShardEvent>) {
         let mut next_wave = Instant::now();
         loop {
-            let timeout = if self.pending_steps() > 0 {
-                next_wave.saturating_duration_since(Instant::now())
+            let received = if self.pending_steps() > 0 {
+                rx.recv_timeout(next_wave.saturating_duration_since(Instant::now()))
             } else {
-                // Idle: wake occasionally for eviction checks.
-                Duration::from_millis(5)
+                // Idle: no wave is owed until the edge routes an event.
+                rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
             };
             let mut disconnected = false;
             // Events fully handled this iteration — balanced against the
             // `inflight` charges the edge made when routing them.
             let mut handled = 0u64;
-            match rx.recv_timeout(timeout) {
+            match received {
                 Ok(event) => {
                     // Chaos: sleep between receiving and handling, so the
                     // edge's view and this shard's view stay divergent for
@@ -643,7 +515,6 @@ impl Shard {
                 self.run_wave();
                 next_wave = Instant::now() + self.tick;
             }
-            self.evict_idle();
             // Settling order matters: publish the pool backlog first, then
             // release the inflight charges. A snapshot that observes
             // `inflight == 0` (Acquire) therefore also observes the queued

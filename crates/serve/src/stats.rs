@@ -324,7 +324,6 @@ pub(crate) struct ShardStats {
     pub(crate) streams_evicted: AtomicU64,
     pub(crate) timesteps_in: AtomicU64,
     pub(crate) emissions_out: AtomicU64,
-    pub(crate) frames_rejected: AtomicU64,
     pub(crate) waves: AtomicU64,
     /// Events the edge routed to this shard but the shard has not fully
     /// handled yet (edge increments *before* sending, shard decrements
@@ -469,8 +468,7 @@ pub(crate) fn aggregate_snapshot(
         streams_evicted: sum(&|s| &s.streams_evicted),
         timesteps_in: sum(&|s| &s.timesteps_in),
         emissions_out: sum(&|s| &s.emissions_out),
-        frames_rejected: edge.frames_rejected.load(Ordering::Relaxed)
-            + sum(&|s| &s.frames_rejected),
+        frames_rejected: edge.frames_rejected.load(Ordering::Relaxed),
         replies_dropped: edge.replies_dropped.load(Ordering::Relaxed),
         outbuf_hwm_bytes: edge.outbuf_hwm.load(Ordering::Relaxed),
         waves,
@@ -509,7 +507,6 @@ mod tests {
             shard.streams_opened.store(5, Ordering::Relaxed);
             shard.timesteps_in.store(500, Ordering::Relaxed);
             shard.emissions_out.store(60 + i as u64, Ordering::Relaxed);
-            shard.frames_rejected.store(1, Ordering::Relaxed);
             shard.ticks.store(10, Ordering::Relaxed);
             for j in 0..50u64 {
                 shard.record_wave(4, Duration::from_nanos(1000 + j));
@@ -539,7 +536,7 @@ mod tests {
         assert_eq!(snap.streams_opened, 10);
         assert_eq!(snap.timesteps_in, 1000);
         assert_eq!(snap.emissions_out, 121);
-        assert_eq!(snap.frames_rejected, 3, "edge + shard rejections");
+        assert_eq!(snap.frames_rejected, 1, "every rejection is the edge's");
         assert_eq!(snap.replies_dropped, 7);
         assert_eq!(snap.connections_closed, 1);
         assert_eq!(snap.outbuf_hwm_bytes, 12_345);

@@ -2,7 +2,7 @@
 //! scenario drives a misbehaving client population (slow-loris drips,
 //! header-then-stall peers, mid-batch RSTs, readers that never drain)
 //! and/or a deterministic server-side fault plan (forced `WouldBlock`
-//! reads, skipped flushes, stalled waves, delayed eviction notes), then
+//! reads, skipped flushes, stalled waves, delayed shard wakeups), then
 //! proves the same three things:
 //!
 //! 1. the daemon is alive — a fresh connection PINGs and `/healthz` says
@@ -148,6 +148,13 @@ fn expect_error(client: &mut Client, want: ErrorCode) {
     match client.recv_timeout(RECV_TIMEOUT).expect("transport") {
         Some(ServerFrame::Error { code, .. }) => assert_eq!(code, want),
         other => panic!("expected {want:?} error, got {other:?}"),
+    }
+}
+
+fn expect_opened(client: &mut Client, want: u32) {
+    match client.recv_timeout(RECV_TIMEOUT).expect("transport") {
+        Some(ServerFrame::Opened { stream_id }) => assert_eq!(stream_id, want),
+        other => panic!("expected OPENED {want}, got {other:?}"),
     }
 }
 
@@ -455,17 +462,69 @@ fn non_draining_reader_hits_backpressure_then_drains_bit_exact() {
     handle.shutdown();
 }
 
-/// Scenario 5 — the eviction/CLOSE race, pinned: the shard evicts an idle
-/// stream and tells the client straight away, but the fault plan holds the
-/// shard→edge accounting note for 400 ms. Inside that window the client
-/// CLOSEs the dead stream and reopens the same id. When the stale note
-/// finally lands it must NOT tear down the reincarnated stream: before
-/// generation tags, the gauge double-decremented and the reopened stream's
-/// next PUSH bounced with `UnknownStream`.
+/// Scenario 4b — edge replies never overtake an earlier OPENED: with every
+/// shard wakeup delayed 100 ms across two shards, an OPEN's OPENED must
+/// still arrive before the edge's ERROR for the request sent right after
+/// it. When shards sent OPENED, the edge's DuplicateStream and UnknownModel
+/// errors reached the client first.
+#[test]
+fn edge_errors_never_overtake_an_earlier_opened() {
+    let faults = FaultPlan {
+        shard_wakeup_delay: Some(Duration::from_millis(100)),
+        ..FaultPlan::default()
+    }
+    .build();
+    let (addr, metrics, handle) = boot(ServerConfig {
+        shards: 2,
+        faults: Some(Arc::clone(&faults)),
+        ..ServerConfig::default()
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.open(1).expect("open");
+    client.open(1).expect("duplicate open");
+    expect_opened(&mut client, 1);
+    expect_error(&mut client, ErrorCode::DuplicateStream);
+
+    client.open(2).expect("open");
+    client
+        .open_with_model(3, "no-such-model")
+        .expect("unknown-model open");
+    expect_opened(&mut client, 2);
+    expect_error(&mut client, ErrorCode::UnknownModel);
+
+    for sid in [1u32, 2] {
+        client.close(sid).expect("close");
+        match client
+            .recv_timeout(RECV_TIMEOUT)
+            .expect("transport")
+            .expect("close ack")
+        {
+            ServerFrame::Closed {
+                stream_id,
+                reason: CloseReason::ByClient,
+            } => assert_eq!(stream_id, sid),
+            other => panic!("expected CLOSED {sid}, got {other:?}"),
+        }
+    }
+    assert!(
+        faults.injected_faults() > 0,
+        "the shard wakeup delay must actually fire"
+    );
+
+    epilogue("edge_errors_after_opened", addr, metrics);
+    handle.shutdown();
+}
+
+/// Scenario 5 — the eviction/CLOSE race, pinned: the edge evicts an idle
+/// stream (its shard sends the CLOSED), then the client CLOSEs the dead
+/// stream and reopens the same id. The eviction must NOT tear down the
+/// reincarnated stream. When shards decided evictions and told the edge
+/// through a note, a late note double-decremented the gauge and the
+/// reopened stream's next PUSH bounced with `UnknownStream`.
 #[test]
 fn close_reopen_races_a_delayed_eviction_note() {
     let faults = FaultPlan {
-        note_delay: Some(Duration::from_millis(400)),
         ..FaultPlan::default()
     }
     .build();
@@ -483,8 +542,8 @@ fn close_reopen_races_a_delayed_eviction_note() {
     let got = collect_emissions(&mut client, 5, 1);
     assert_eq!(got, solo(&first));
 
-    // Go idle until the shard evicts. The CLOSED frame reaches us on the
-    // data path; the accounting note to the edge is in the delay queue.
+    // Go idle until the edge evicts. The edge released the stream before
+    // routing the eviction, so its CLOSED comes after the release.
     match client
         .recv_timeout(RECV_TIMEOUT)
         .expect("transport")
@@ -497,11 +556,11 @@ fn close_reopen_races_a_delayed_eviction_note() {
         other => panic!("expected idle eviction, got {other:?}"),
     }
 
-    // Race the held note: CLOSE the already-evicted stream (the edge still
-    // holds the entry, the shard no longer does)...
+    // CLOSE the already-evicted stream (neither the edge nor the shard
+    // holds it any more)...
     client.close(5).expect("close");
     expect_error(&mut client, ErrorCode::UnknownStream);
-    // ...and reincarnate the id under a fresh generation.
+    // ...and reincarnate the id.
     client.open(5).expect("reopen");
     match client
         .recv_timeout(RECV_TIMEOUT)
@@ -512,7 +571,7 @@ fn close_reopen_races_a_delayed_eviction_note() {
         other => panic!("expected OPENED, got {other:?}"),
     }
 
-    // Keep the reincarnation busy across the note's arrival (~400 ms in).
+    // Keep the reincarnation busy for ~600 ms, four idle timeouts.
     let second = stream_input(51, 80);
     for round in 0..10 {
         client
@@ -524,11 +583,11 @@ fn close_reopen_races_a_delayed_eviction_note() {
     assert_eq!(
         got,
         solo(&second),
-        "the stale note must not tear down the reincarnated stream"
+        "the earlier eviction must not tear down the reincarnated stream"
     );
 
     // The edge-authoritative gauge still counts exactly one open stream —
-    // the double-decrement zeroed it here before the generation tag.
+    // a double decrement would have zeroed it.
     client.stats().expect("stats");
     let json = loop {
         match client
@@ -561,7 +620,7 @@ fn close_reopen_races_a_delayed_eviction_note() {
         other => panic!("expected CLOSED, got {other:?}"),
     }
 
-    epilogue("close_reopen_vs_delayed_note", addr, metrics);
+    epilogue("close_reopen_vs_eviction", addr, metrics);
     handle.shutdown();
 }
 
